@@ -4,6 +4,8 @@ Subcommands: gen-synth, train, pretrain, icc, eval, linear-eval,
 calibrate, activity.  Every command takes ``--seed`` (one seed, fanned
 into named sub-streams internally) and ``--config cfg.json`` whose keys
 mirror the flag names (underscored); explicit flags override the file.
+A key the command never reads from the file (a typo, a path flag such
+as ``data``, a setting of another command) is a usage error.
 
 Exit codes: 0 success, 2 usage, 3 data/format, 4 numerical failure.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,17 +32,34 @@ from .metrics import entropy_histogram_csv
 from .model import ModelConfig, build_model
 from .profiles import PROFILES
 from .seeding import substream
-from .supervised import LossConfig, TrainConfig, activity_loss, train_supervised
+from .supervised import LossConfig, TrainConfig, activity_loss, fit, train_supervised
 from . import autodiff as ad
-from .autodiff import Tape
 from .optim import Adam
 
 _SYNTH = PROFILES["synthetic"]
 
+class _Config(dict):
+    """The --config object.  It records every key a command asks for, so
+    ``check`` can refuse the keys that command never reads."""
 
-def _load_config(path: str | None) -> dict:
+    def __init__(self, payload=()):
+        super().__init__(payload)
+        self.asked: set[str] = set()
+
+    def get(self, name, default=None):
+        self.asked.add(name)
+        return super().get(name, default)
+
+    def check(self, command: str) -> None:
+        """Call once the command has read all its settings."""
+        unknown = sorted(set(self) - self.asked)
+        if unknown:
+            raise UsageError(f"unknown config key(s) for {command}: {', '.join(unknown)}")
+
+
+def _load_config(path: str | None) -> _Config:
     if not path:
-        return {}
+        return _Config()
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
@@ -48,17 +68,14 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise UsageError("config file must hold a JSON object")
-    return payload
+    return _Config(payload)
 
 
-def _opt(args, config: dict, name: str, default):
+def _opt(args, config: _Config, name: str, default):
     """Flag if given, else config-file key, else the built-in default."""
     value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
+    fallback = config.get(name, default)
+    return fallback if value is None else value
 
 
 def _write_json(path, payload: dict) -> None:
@@ -66,7 +83,7 @@ def _write_json(path, payload: dict) -> None:
                           encoding="utf-8")
 
 
-def _model_config_for(dataset: Dataset, args, config: dict) -> ModelConfig:
+def _model_config_for(dataset: Dataset, args, config: _Config) -> ModelConfig:
     depth = int(_opt(args, config, "depth", 6))
     enc = list(config.get("encoder_channels", _SYNTH["encoder_channels"]))
     dec = list(config.get("decoder_channels", _SYNTH["decoder_channels"]))
@@ -88,18 +105,17 @@ def _model_config_for(dataset: Dataset, args, config: dict) -> ModelConfig:
     )
 
 
-def _augment_config_for(args, config: dict,
+def _augment_config_for(args, config: _Config,
                         default_pi0: float | None = None) -> AugmentConfig:
     return AugmentConfig(
         enabled=not bool(_opt(args, config, "no_augment", False)),
         w0=int(_opt(args, config, "w0", _SYNTH["w0"])),
         pi0=float(_opt(args, config, "pi0",
                        _SYNTH["pi0"] if default_pi0 is None else default_pi0)),
-        tta_samples=int(_opt(args, config, "tta_samples", 5)),
     )
 
 
-def _contrast_config_for(args, config: dict, num_classes: int) -> ContrastConfig:
+def _contrast_config_for(args, config: _Config, num_classes: int) -> ContrastConfig:
     return ContrastConfig(
         K=int(_opt(args, config, "K", _SYNTH["K"])),
         epsilon=config.get("epsilon"),
@@ -135,6 +151,7 @@ def cmd_gen_synth(args) -> int:
         test_fraction=float(_opt(args, config, "test_fraction", base.test_fraction)),
         seed=int(_opt(args, config, "seed", base.seed)),
     )
+    config.check(args.command)
     manifest = gen_synthetic(cfg, args.out)
     print(f"wrote {len(manifest.entries)} clips to {args.out}")
     return 0
@@ -157,8 +174,8 @@ def cmd_train(args) -> int:
         epochs=int(_opt(args, config, "epochs", _SYNTH["epochs"])),
         batch_size=int(_opt(args, config, "batch_size", _SYNTH["batch_size"])),
         loss_per_layer=bool(_opt(args, config, "loss_per_layer", False)),
-        learned_alpha=bool(_opt(args, config, "learned_alpha", False)),
     )
+    config.check(args.command)
     model = build_model(model_cfg, seed)
     trace = train_supervised(model, dataset.train(), augment_cfg, loss_cfg,
                              train_cfg, seed)
@@ -184,6 +201,7 @@ def cmd_pretrain(args) -> int:
         epochs=int(_opt(args, config, "epochs", _SYNTH["contrast_epochs"])),
         batch_size=int(_opt(args, config, "batch_size", _SYNTH["batch_size"])),
     )
+    config.check(args.command)
     model = build_model(model_cfg, seed)
     losses = pretrain_unsupervised(model, dataset.train(), contrast_cfg, augment_cfg,
                                    train_cfg, seed)
@@ -215,6 +233,7 @@ def cmd_icc(args) -> int:
         classify_transition=bool(_opt(args, config, "classify_transition", False)),
         skip_unsupervised=bool(_opt(args, config, "skip_unsupervised", False)),
     )
+    config.check(args.command)
     model = build_model(model_cfg, seed)
     audited = AuditedDataset(dataset)
     split = make_split(dataset, icc_cfg.labeled_fraction, seed)
@@ -235,15 +254,18 @@ def cmd_icc(args) -> int:
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
     dataset = Dataset.load(args.data)
+    augment_cfg = replace(_augment_config_for(args, config),
+                          tta_samples=int(_opt(args, config, "tta_samples", 5)))
+    seed = int(_opt(args, config, "seed", 7))
+    per_video_f1 = bool(_opt(args, config, "per_video_f1", False))
+    config.check(args.command)
     model, heads = restore_model(args.ckpt)
-    augment_cfg = _augment_config_for(args, config)
     clips = dataset.split(args.split)
     if not clips:
         raise UsageError(f"split {args.split!r} has no clips")
-    rng = substream(int(_opt(args, config, "seed", 7)), "tta")
-    report = evaluate_clips(model, clips, augment_cfg, tta=bool(args.tta), rng=rng,
-                            heads=heads,
-                            per_video_f1=bool(_opt(args, config, "per_video_f1", False)))
+    report = evaluate_clips(model, clips, augment_cfg, tta=bool(args.tta),
+                            rng=substream(seed, "tta"), heads=heads,
+                            per_video_f1=per_video_f1)
     _write_json(args.report, report.to_dict())
     print(f"{args.split}: MoF {report.mof:.2f} edit {report.edit:.2f} "
           f"F1@25 {report.f1_25:.2f}")
@@ -253,12 +275,13 @@ def cmd_eval(args) -> int:
 def cmd_linear_eval(args) -> int:
     config = _load_config(args.config)
     dataset = Dataset.load(args.data)
+    cfg = LinearEvalConfig(lr=float(_opt(args, config, "lr", 1e-2)),
+                           epochs=int(_opt(args, config, "epochs", 300)))
+    config.check(args.command)
     raw = bool(args.raw_baseline)
     model = None
     if not raw:
         model, _ = restore_model(args.ckpt)
-    cfg = LinearEvalConfig(lr=float(_opt(args, config, "lr", 1e-2)),
-                           epochs=int(_opt(args, config, "epochs", 300)))
     report = linear_eval(model, dataset.train(), dataset.test(),
                          dataset.num_classes, raw=raw, cfg=cfg)
     _write_json(args.report, report.to_dict())
@@ -270,8 +293,9 @@ def cmd_linear_eval(args) -> int:
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
     dataset = Dataset.load(args.data)
-    model, heads = restore_model(args.ckpt)
     augment_cfg = _augment_config_for(args, config)
+    config.check(args.command)
+    model, heads = restore_model(args.ckpt)
     clips = dataset.test()
     report, entropies = calibration_for(model, clips, augment_cfg,
                                         num_bins=int(args.bins), heads=heads)
@@ -290,32 +314,30 @@ def cmd_activity(args) -> int:
         raise UsageError("activity recognition needs at least two activities")
     if args.mode == "train":
         model_cfg = _model_config_for(dataset, args, config)
-        model = build_model(model_cfg, seed)
         lr = float(_opt(args, config, "lr", 1e-3))
         epochs = int(_opt(args, config, "epochs", 30))
         batch = int(_opt(args, config, "batch_size", _SYNTH["batch_size"]))
+        config.check(args.command)
+        model = build_model(model_cfg, seed)
         clips = dataset.train()
-        opt = Adam(model.backbone_parameters(), lr=lr)
-        rng = substream(seed, "sampler")
-        for _ in range(epochs):
-            order = rng.permutation(len(clips))
-            for start in range(0, len(clips), batch):
-                chunk = [clips[i] for i in order[start:start + batch]]
-                with Tape() as tape:
-                    loss = None
-                    for clip in chunk:
-                        p_v = model.activity_probs(model.encode(clip.features, train=True))
-                        term = activity_loss(p_v, clip.activity)
-                        loss = term if loss is None else ad.add(loss, term)
-                    tape.backward(ad.mul(loss, 1.0 / len(chunk)))
-                opt.step()
-                opt.zero_grad()
+
+        def batch_loss(chunk):
+            loss = None
+            for clip in chunk:
+                p_v = model.activity_probs(model.encode(clip.features, train=True))
+                term = activity_loss(p_v, clip.activity)
+                loss = term if loss is None else ad.add(loss, term)
+            return ad.mul(loss, 1.0 / len(chunk)), None
+
+        fit(clips, [Adam(model.backbone_parameters(), lr=lr)], epochs, batch,
+            substream(seed, "sampler"), batch_loss)
         save_model(args.out, model)
         correct = sum(int(np.argmax(model.activity_probs(
             model.encode(c.features)).data) == c.activity) for c in clips)
         print(f"activity head trained; train accuracy {100.0 * correct / len(clips):.2f}; "
               f"checkpoint at {args.out}")
         return 0
+    config.check(args.command)
     model, _ = restore_model(args.ckpt)
     clips = dataset.test()
     correct = sum(int(np.argmax(model.activity_probs(
@@ -369,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-augment", action="store_true", default=None)
     p.add_argument("--no-transition", action="store_true", default=None)
     p.add_argument("--loss-per-layer", action="store_true", default=None)
-    p.add_argument("--learned-alpha", action="store_true", default=None)
     p.add_argument("--no-skip", action="store_true", default=None)
     _common(p)
     p.set_defaults(func=cmd_train)

@@ -16,15 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .augment import (AugmentConfig, pool_features, pool_labels,
-                      sample_window, stable_window)
+from .augment import AugmentConfig
 from .autodiff import Tape, Tensor
 from .errors import NumericsError
 from .metrics import SegReport
-from .model import Model, multires_feature
+from .model import Model, multires_feature, normalize_rows
 from .optim import Adam
 from .seeding import substream
-from .supervised import PROB_FLOOR
+from .supervised import PROB_FLOOR, fit, pooled_clip
 
 
 @dataclass(frozen=True)
@@ -187,13 +186,6 @@ def build_sets(samples: list[SampledFrames], labels: list[np.ndarray],
 # The contrastive objective
 # ---------------------------------------------------------------------------
 
-def _normalize_rows(x: Tensor) -> Tensor:
-    norms = ad.sqrt(ad.reduce_sum(ad.mul(x, x), axis=1, keepdims=True))
-    if float(norms.data.min()) <= 0.0:
-        raise NumericsError("zero-norm row; cosine similarities undefined")
-    return ad.div(x, norms)
-
-
 def _masked_nce(rows: Tensor, pos_mask: np.ndarray, neg_mask: np.ndarray,
                 tau: float) -> tuple[Tensor, int]:
     """Sum over positive pairs of -log( e_ij / (e_ij + sum_neg e_ik) ).
@@ -233,7 +225,7 @@ def contrastive_loss(features: list[Tensor], samples: list[SampledFrames],
     cfg.validate()
     sets = build_sets(samples, labels, activities, cfg.delta, cfg.use_video_level)
     gathered = [ad.take_rows(f, s.frames) for f, s in zip(features, samples)]
-    rows = _normalize_rows(ad.concat(gathered, axis=0))
+    rows = normalize_rows(ad.concat(gathered, axis=0))
     n = rows.shape[0]
     pos_mask = np.zeros((n, n), dtype=bool)
     neg_mask = np.zeros((n, n), dtype=bool)
@@ -251,7 +243,7 @@ def contrastive_loss(features: list[Tensor], samples: list[SampledFrames],
         v_neg = acts[:, None] != acts[None, :]
         if v_pos.any() and v_neg.any():
             pooled = [ad.reshape(ad.reduce_max(f, axis=0), (1, -1)) for f in features]
-            clip_rows = _normalize_rows(ad.concat(pooled, axis=0))
+            clip_rows = normalize_rows(ad.concat(pooled, axis=0))
             video_total, video_pairs = _masked_nce(clip_rows, v_pos, v_neg, cfg.tau)
             loss = ad.add(loss, ad.mul(video_total, 1.0 / video_pairs))
     return loss
@@ -281,64 +273,47 @@ def run_contrast_training(model: Model, clips: list[ContrastClip],
                           cfg: ContrastConfig, augment_cfg: AugmentConfig,
                           train_cfg: ContrastTrainConfig, seed: int,
                           stream: str = "contrast") -> list[float]:
-    """Shared engine for unsupervised pretraining and semi-supervised
-    contrast steps.  Clips with ``labels=None`` get per-batch cluster ids;
-    clips with label arrays use those (pooled alongside the features).
-    Only backbone parameters are updated.  Returns per-epoch mean losses.
+    """Contrastive training of the backbone, for unsupervised pretraining
+    and for the semi-supervised contrast steps.
+
+    Each batch first pools every clip with a fresh window (labels too, when
+    the clip has them), then clusters the pooled features of the clips
+    with ``labels=None`` together so their k-means ids stand in for frame
+    labels, then samples frames per clip for the loss.  Only backbone
+    parameters are updated.  Returns per-epoch mean batch losses.
     """
     cfg.validate()
     rng = substream(seed, stream)
-    params = model.backbone_parameters()
-    opt = Adam(params, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
-    losses = []
-    n = len(clips)
-    if n == 0:
-        raise ValueError("no clips to train on")
-    for _ in range(train_cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        batches = 0
-        for start in range(0, n, train_cfg.batch_size):
-            batch = [clips[i] for i in order[start:start + train_cfg.batch_size]]
-            pooled_feats, pooled_labels = [], []
-            for clip in batch:
-                w = 1
-                if augment_cfg.enabled:
-                    w = stable_window(sample_window(augment_cfg, rng),
-                                      clip.features.shape[0], model.cfg.depth)
-                v = pool_features(clip.features, w) if w > 1 else clip.features
-                y = None
-                if clip.labels is not None:
-                    y = pool_labels(clip.labels, w) if w > 1 else np.asarray(clip.labels)
-                pooled_feats.append(v)
-                pooled_labels.append(y)
-            cluster_needed = [i for i, y in enumerate(pooled_labels) if y is None]
-            if cluster_needed:
-                stacked = np.concatenate([pooled_feats[i] for i in cluster_needed], axis=0)
-                assign, _ = kmeans(stacked, min(cfg.num_clusters, stacked.shape[0]), rng)
-                cursor = 0
-                for i in cluster_needed:
-                    t_i = pooled_feats[i].shape[0]
-                    pooled_labels[i] = assign[cursor:cursor + t_i]
-                    cursor += t_i
-            with Tape() as tape:
-                feats, samples, frame_labels = [], [], []
-                for v, y in zip(pooled_feats, pooled_labels):
-                    outputs = model.forward(v, train=True)
-                    f = multires_feature(outputs, v.shape[0], mode=cfg.upsample_mode)
-                    sf = sample_frames(v.shape[0], cfg, rng)
-                    feats.append(f)
-                    samples.append(sf)
-                    frame_labels.append(np.asarray(y)[sf.frames])
-                loss = contrastive_loss(feats, samples, frame_labels,
-                                        [c.activity for c in batch], cfg)
-                tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
-            epoch_loss += float(loss.data)
-            batches += 1
-        losses.append(epoch_loss / batches)
-    return losses
+    opt = Adam(model.backbone_parameters(), lr=train_cfg.lr,
+               weight_decay=train_cfg.weight_decay)
+
+    def batch_loss(batch):
+        pooled = [pooled_clip(c.features, c.labels, augment_cfg, rng, model.cfg.depth)
+                  for c in batch]
+        pooled_feats = [v for v, _ in pooled]
+        pooled_labels = [y for _, y in pooled]
+        cluster_needed = [i for i, y in enumerate(pooled_labels) if y is None]
+        if cluster_needed:
+            stacked = np.concatenate([pooled_feats[i] for i in cluster_needed], axis=0)
+            assign, _ = kmeans(stacked, min(cfg.num_clusters, stacked.shape[0]), rng)
+            cursor = 0
+            for i in cluster_needed:
+                t_i = pooled_feats[i].shape[0]
+                pooled_labels[i] = assign[cursor:cursor + t_i]
+                cursor += t_i
+        feats, samples, frame_labels = [], [], []
+        for v, y in zip(pooled_feats, pooled_labels):
+            outputs = model.forward(v, train=True)
+            feats.append(multires_feature(outputs, v.shape[0], mode=cfg.upsample_mode))
+            sf = sample_frames(v.shape[0], cfg, rng)
+            samples.append(sf)
+            frame_labels.append(np.asarray(y)[sf.frames])
+        loss = contrastive_loss(feats, samples, frame_labels,
+                                [c.activity for c in batch], cfg)
+        return loss, float(loss.data)
+
+    history = fit(clips, [opt], train_cfg.epochs, train_cfg.batch_size, rng, batch_loss)
+    return [sum(losses) / len(losses) for losses in history]
 
 
 def pretrain_unsupervised(model: Model, clips: list, cfg: ContrastConfig,

@@ -15,14 +15,12 @@ metadata and are not audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .augment import (AugmentConfig, pool_features, pool_labels,
-                      sample_window, stable_window)
-from .autodiff import Tape
+from .augment import AugmentConfig
 from .contrastive import (ContrastClip, ContrastConfig, ContrastTrainConfig,
                           contrastive_loss, run_contrast_training, sample_frames)
 from .data import AuditedDataset, SplitSpec
@@ -31,7 +29,8 @@ from .metrics import SegReport
 from .model import Model, ProjectionHeads, multires_feature
 from .optim import Adam
 from .seeding import substream
-from .supervised import EnsembleWeights, LossConfig, c2f_ensemble, cross_entropy, transition_loss
+from .supervised import (EnsembleWeights, LossConfig, c2f_ensemble, fit, joint_loss,
+                         pooled_clip)
 
 
 @dataclass
@@ -77,48 +76,27 @@ def classify_step(model: Model, heads: ProjectionHeads, audited: AuditedDataset,
     opt_m = Adam(model.backbone_parameters(), lr=icc_cfg.lr_m_classify,
                  weight_decay=icc_cfg.weight_decay)
     alpha = EnsembleWeights.uniform(model.cfg.depth)
-    losses = []
-    n = len(clips)
-    for _ in range(icc_cfg.classify_epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        batches = 0
-        for start in range(0, n, icc_cfg.batch_size):
-            batch = [clips[i] for i in order[start:start + icc_cfg.batch_size]]
-            with Tape() as tape:
-                feats, samples, frame_labels, loss = [], [], [], None
-                for clip in batch:
-                    w = 1
-                    if augment_cfg.enabled:
-                        w = stable_window(sample_window(augment_cfg, rng),
-                                          clip.features.shape[0], model.cfg.depth)
-                    v = pool_features(clip.features, w) if w > 1 else clip.features
-                    y = pool_labels(clip.labels, w) if w > 1 else clip.labels
-                    outputs = model.forward(v, train=True, heads=heads)
-                    p_ens = c2f_ensemble(outputs, alpha)
-                    term = cross_entropy(p_ens, y)
-                    if icc_cfg.classify_transition and p_ens.shape[0] >= 2:
-                        term = ad.add(term, ad.mul(transition_loss(p_ens, loss_cfg),
-                                                   loss_cfg.lambda_tr))
-                    loss = term if loss is None else ad.add(loss, term)
-                    f = multires_feature(outputs, v.shape[0], mode="linear")
-                    sf = sample_frames(v.shape[0], contrast_cfg, rng)
-                    feats.append(f)
-                    samples.append(sf)
-                    frame_labels.append(np.asarray(y)[sf.frames])
-                loss = ad.mul(loss, 1.0 / len(batch))
-                loss = ad.add(loss, contrastive_loss(feats, samples, frame_labels,
-                                                     [c.activity for c in batch],
-                                                     contrast_cfg))
-                tape.backward(loss)
-            opt_g.step()
-            opt_m.step()
-            opt_g.zero_grad()
-            opt_m.zero_grad()
-            epoch_loss += float(loss.data)
-            batches += 1
-        losses.append(epoch_loss / batches)
-    return losses
+    ce_cfg = replace(loss_cfg, transition=icc_cfg.classify_transition)
+
+    def batch_loss(batch):
+        feats, samples, frame_labels, loss = [], [], [], None
+        for clip in batch:
+            v, y = pooled_clip(clip.features, clip.labels, augment_cfg, rng, model.cfg.depth)
+            outputs = model.forward(v, train=True, heads=heads)
+            term = joint_loss(c2f_ensemble(outputs, alpha), y, ce_cfg)
+            loss = term if loss is None else ad.add(loss, term)
+            feats.append(multires_feature(outputs, v.shape[0], mode="linear"))
+            sf = sample_frames(v.shape[0], contrast_cfg, rng)
+            samples.append(sf)
+            frame_labels.append(np.asarray(y)[sf.frames])
+        loss = ad.add(ad.mul(loss, 1.0 / len(batch)),
+                      contrastive_loss(feats, samples, frame_labels,
+                                       [c.activity for c in batch], contrast_cfg))
+        return loss, float(loss.data)
+
+    history = fit(clips, [opt_g, opt_m], icc_cfg.classify_epochs, icc_cfg.batch_size,
+                  rng, batch_loss)
+    return [sum(losses) / len(losses) for losses in history]
 
 
 def pseudo_label(model: Model, heads: ProjectionHeads, features: np.ndarray,

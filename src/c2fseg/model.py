@@ -19,7 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import NumericsError
 from .seeding import substream
 
 
@@ -398,9 +397,21 @@ def multires_feature(outputs: DecoderOutputs, target_len: int,
             up = ad.slice_axis(ad.upsample1d(z_u, outputs.t_pad, mode), 1, 0, outputs.t_in)
         else:
             up = ad.upsample1d(z_u, target_len, mode)
-        rows = ad.transpose2d(up)
-        norms = ad.sqrt(ad.reduce_sum(ad.mul(rows, rows), axis=1, keepdims=True))
-        if float(norms.data.min()) <= 0.0:
-            raise NumericsError("zero-norm frame in a decoder stage; cannot normalize")
-        blocks.append(ad.div(rows, norms))
+        blocks.append(normalize_rows(ad.transpose2d(up)))
     return ad.concat(blocks, axis=1)
+
+
+NORM_SQ_FLOOR = 1e-24
+
+
+def normalize_rows(x: Tensor) -> Tensor:
+    """Scale every row of [N, D] to unit L2 norm; an all-zero row stays zero.
+
+    Decoder features end in a ReLU, so a dead frame is a legitimate
+    all-zero row.  The squared norm is floored *before* the root, so such a
+    row gets a finite value and gradient (``sqrt``'s backward divides by
+    its output); rows whose squared norm is above the floor are
+    bit-identical to a plain division by the norm.
+    """
+    sum_sq = ad.reduce_sum(ad.mul(x, x), axis=1, keepdims=True)
+    return ad.div(x, ad.sqrt(ad.clamp_min(sum_sq, NORM_SQ_FLOOR)))

@@ -45,21 +45,8 @@ class EnsembleWeights:
         return np.asarray(self.alpha)
 
 
-def c2f_ensemble(outputs: DecoderOutputs, weights: EnsembleWeights | Tensor) -> Tensor:
-    """Weighted sum of the per-stage probability matrices -> [t_in, C].
-
-    ``weights`` may be a Tensor of raw logits-turned-simplex values when
-    the mixing weights themselves are being learned.
-    """
-    if isinstance(weights, Tensor):
-        alpha = weights
-        if alpha.data.size != len(outputs.p):
-            raise ValueError("one weight per decoder stage required")
-        acc = None
-        for u, p_u in enumerate(outputs.p):
-            term = ad.mul(p_u, ad.slice_axis(alpha, 0, u, u + 1))
-            acc = term if acc is None else ad.add(acc, term)
-        return acc
+def c2f_ensemble(outputs: DecoderOutputs, weights: EnsembleWeights) -> Tensor:
+    """Weighted sum of the per-stage probability matrices -> [t_in, C]."""
     a = weights.as_array()
     if a.size != len(outputs.p):
         raise ValueError("one weight per decoder stage required")
@@ -114,11 +101,22 @@ def transition_loss(p: Tensor, cfg: LossConfig = LossConfig()) -> Tensor:
     return ad.mul(ad.reduce_sum(ad.mul(clamped, clamped)), 1.0 / t)
 
 
-def joint_loss(p: Tensor, y: np.ndarray, cfg: LossConfig = LossConfig()) -> Tensor:
+def joint_terms(p: Tensor, y: np.ndarray,
+                cfg: LossConfig = LossConfig()) -> tuple[Tensor, Tensor, Tensor | None]:
+    """(loss, ce, tr): cross-entropy plus the weighted transition penalty.
+
+    The penalty is left out (``tr`` is None) when it is disabled or the
+    clip has a single frame.
+    """
     ce = cross_entropy(p, y)
     if not cfg.transition or p.shape[0] < 2:
-        return ce
-    return ad.add(ce, ad.mul(transition_loss(p, cfg), cfg.lambda_tr))
+        return ce, ce, None
+    tr = transition_loss(p, cfg)
+    return ad.add(ce, ad.mul(tr, cfg.lambda_tr)), ce, tr
+
+
+def joint_loss(p: Tensor, y: np.ndarray, cfg: LossConfig = LossConfig()) -> Tensor:
+    return joint_terms(p, y, cfg)[0]
 
 
 def activity_loss(p_v: Tensor, activity: int) -> Tensor:
@@ -139,7 +137,6 @@ class TrainConfig:
     epochs: int = 150
     batch_size: int = 8
     loss_per_layer: bool = False     # attach the loss to every stage, not just the mix
-    learned_alpha: bool = False      # learn the ensemble weights on the simplex
     activity_weight: float = 0.0     # optional video-level auxiliary term
 
 
@@ -151,21 +148,45 @@ class TraceRow:
     total: float
 
 
-def _video_loss(outputs: DecoderOutputs, y: np.ndarray, alpha, loss_cfg: LossConfig,
-                train_cfg: TrainConfig) -> tuple[Tensor, float, float]:
-    """Joint loss for one clip; returns (loss, ce_value, tr_value) for tracing."""
-    p_ens = c2f_ensemble(outputs, alpha)
-    ce = cross_entropy(p_ens, y)
-    use_tr = loss_cfg.transition and p_ens.shape[0] >= 2
-    tr = transition_loss(p_ens, loss_cfg) if use_tr else None
-    loss = ce if tr is None else ad.add(ce, ad.mul(tr, loss_cfg.lambda_tr))
-    if train_cfg.loss_per_layer:
-        for p_u in outputs.p:
-            term = cross_entropy(p_u, y)
-            if use_tr:
-                term = ad.add(term, ad.mul(transition_loss(p_u, loss_cfg), loss_cfg.lambda_tr))
-            loss = ad.add(loss, ad.mul(term, 1.0 / len(outputs.p)))
-    return loss, float(ce.data), 0.0 if tr is None else float(tr.data)
+def pooled_clip(features: np.ndarray, labels: np.ndarray | None,
+                augment_cfg: AugmentConfig, rng: np.random.Generator,
+                depth: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """One training view of a clip: features, and labels unless None,
+    pooled by a freshly drawn window.  Unchanged when augmentation is off
+    or the window shrinks to 1."""
+    if not augment_cfg.enabled:
+        return features, labels
+    w = stable_window(sample_window(augment_cfg, rng), features.shape[0], depth)
+    if w == 1:
+        return features, labels
+    return pool_features(features, w), None if labels is None else pool_labels(labels, w)
+
+
+def fit(items: list, optimizers: list, epochs: int, batch_size: int,
+        rng: np.random.Generator, batch_loss) -> list[list]:
+    """The one training loop: per epoch, a fresh permutation of ``items``
+    cut into batches; ``batch_loss(batch) -> (loss, records)`` runs on a
+    tape, then every optimizer steps and every optimizer clears its
+    gradients.  Returns, per epoch, the batches' records in order."""
+    n = len(items)
+    if n == 0:
+        raise ValueError("nothing to train on")
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        records = []
+        for start in range(0, n, batch_size):
+            batch = [items[i] for i in order[start:start + batch_size]]
+            with Tape() as tape:
+                loss, rec = batch_loss(batch)
+                tape.backward(loss)
+            for opt in optimizers:
+                opt.step()
+            for opt in optimizers:
+                opt.zero_grad()
+            records.append(rec)
+        history.append(records)
+    return history
 
 
 def train_supervised(model: Model, videos: list, augment_cfg: AugmentConfig,
@@ -179,44 +200,33 @@ def train_supervised(model: Model, videos: list, augment_cfg: AugmentConfig,
     """
     rng = substream(seed, "sampler")
     head_obj = model.heads if heads is None else heads
-    params = model.backbone_parameters() + head_obj.parameters()
-    alpha_param = None
-    if train_cfg.learned_alpha:
-        alpha_param = Tensor(np.zeros(model.cfg.depth), requires_grad=True)
-        params = params + [alpha_param]
-    opt = Adam(params, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
-    trace: list[TraceRow] = []
+    opt = Adam(model.backbone_parameters() + head_obj.parameters(),
+               lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
+    alpha = EnsembleWeights.uniform(model.cfg.depth)
+
+    def batch_loss(batch):
+        total, records = None, []
+        for clip in batch:
+            v, y = pooled_clip(clip.features, clip.labels, augment_cfg, rng, model.cfg.depth)
+            outputs = model.forward(v, train=True, heads=head_obj)
+            loss, ce, tr = joint_terms(c2f_ensemble(outputs, alpha), y, loss_cfg)
+            if train_cfg.loss_per_layer:
+                for p_u in outputs.p:
+                    loss = ad.add(loss, ad.mul(joint_loss(p_u, y, loss_cfg),
+                                               1.0 / len(outputs.p)))
+            if train_cfg.activity_weight and outputs.p_activity is not None:
+                loss = ad.add(loss, ad.mul(activity_loss(outputs.p_activity, clip.activity),
+                                           train_cfg.activity_weight))
+            records.append((float(ce.data), 0.0 if tr is None else float(tr.data),
+                            float(loss.data)))
+            total = loss if total is None else ad.add(total, loss)
+        return ad.mul(total, 1.0 / len(batch)), records
+
+    history = fit(videos, [opt], train_cfg.epochs, train_cfg.batch_size, rng, batch_loss)
     n = len(videos)
-    if n == 0:
-        raise ValueError("no training videos")
-    for epoch in range(train_cfg.epochs):
-        order = rng.permutation(n)
-        ce_sum = tr_sum = total_sum = 0.0
-        for start in range(0, n, train_cfg.batch_size):
-            batch = [videos[i] for i in order[start:start + train_cfg.batch_size]]
-            with Tape() as tape:
-                alpha = (ad.softmax(alpha_param, axis=0) if alpha_param is not None
-                         else EnsembleWeights.uniform(model.cfg.depth))
-                batch_loss = None
-                for clip in batch:
-                    v, y = clip.features, clip.labels
-                    if augment_cfg.enabled:
-                        w = stable_window(sample_window(augment_cfg, rng),
-                                          v.shape[0], model.cfg.depth)
-                        if w > 1:
-                            v, y = pool_features(v, w), pool_labels(y, w)
-                    outputs = model.forward(v, train=True, heads=head_obj)
-                    loss, ce_val, tr_val = _video_loss(outputs, y, alpha, loss_cfg, train_cfg)
-                    if train_cfg.activity_weight and outputs.p_activity is not None:
-                        loss = ad.add(loss, ad.mul(activity_loss(outputs.p_activity,
-                                                                 clip.activity),
-                                                   train_cfg.activity_weight))
-                    ce_sum += ce_val
-                    tr_sum += tr_val
-                    total_sum += float(loss.data)
-                    batch_loss = loss if batch_loss is None else ad.add(batch_loss, loss)
-                tape.backward(ad.mul(batch_loss, 1.0 / len(batch)))
-            opt.step()
-            opt.zero_grad()
-        trace.append(TraceRow(epoch=epoch, ce=ce_sum / n, tr=tr_sum / n, total=total_sum / n))
+    trace = []
+    for epoch, batches in enumerate(history):
+        ce, tr, total = zip(*(r for records in batches for r in records))
+        trace.append(TraceRow(epoch=epoch, ce=sum(ce) / n, tr=sum(tr) / n,
+                              total=sum(total) / n))
     return trace

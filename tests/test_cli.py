@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from c2fseg import cli
 from c2fseg.cli import main
 from c2fseg.data import load_features, restore_model, save_features
 
@@ -151,6 +152,92 @@ def test_flag_overrides_config_file(data_dir, tmp_path):
                "--trace-out", str(trace), "--config", str(cfg)])
     assert rc == 0
     assert len(trace.read_text().strip().splitlines()) == 1 + 3
+
+
+_MODEL = {"depth": 6, "kernel": 5, "encoder_channels": [8] * 7,
+          "decoder_channels": [8] * 6, "tpp_windows": [2, 3], "upsample_mode": "nearest",
+          "no_skip": False, "activity_hidden": 8}
+_AUGMENT = {"no_augment": False, "w0": 10, "pi0": 0.5}
+_CONTRAST = {"K": 4, "epsilon": None, "delta": 0.5, "tau": 0.1, "clusters": 12,
+             "no_video_level": False}
+_SGD = {"lr": 1e-3, "wd": 0.0, "epochs": 1, "batch_size": 4}
+# Every key each command reads from --config, with a valid value for it.
+_READS = {
+    "gen-synth": {"videos": 10, "actions": 6, "activities": 3, "feat_dim": 32,
+                  "len_min": 64, "len_max": 96, "segments_min": 2, "segments_max": 3,
+                  "min_segment": 8, "sigma_between": 2.4, "sigma_within": 1.0,
+                  "frame_noise": 1.2, "smooth_radius": 2, "label_noise": 0.0,
+                  "test_fraction": 0.2, "seed": 5},
+    "train": {"seed": 5, **_MODEL, **_AUGMENT, **_SGD, "lambda_tr": 0.15,
+              "eps_max": 4.0, "no_transition": False, "loss_per_layer": False},
+    "pretrain": {"seed": 5, **_MODEL, **_AUGMENT, **_CONTRAST, **_SGD},
+    "icc": {"seed": 5, **_MODEL, **_AUGMENT, **_CONTRAST, "wd": 1e-4, "batch_size": 4,
+            "iterations": 1, "labeled_frac": 0.5, "lr_g": 1e-2, "lr_m_classify": 1e-5,
+            "lr_m_contrast": 1e-3, "pretrain_epochs": 1, "contrast_epochs": 1,
+            "classify_epochs": 1, "classify_transition": False,
+            "skip_unsupervised": False},
+    "eval": {"seed": 5, **_AUGMENT, "tta_samples": 3, "per_video_f1": True},
+    "linear-eval": {"lr": 1e-2, "epochs": 3},
+    "calibrate": dict(_AUGMENT),
+    "activity-train": {"seed": 5, **_MODEL, "lr": 1e-3, "epochs": 1, "batch_size": 4},
+    "activity-eval": {"seed": 5},
+}
+# Keys no command reads from --config: path and action flags, a deleted
+# option and a typo.
+_NEVER_READ = {"data": "x", "out": "x", "ckpt": "x", "report": "x", "split": "test",
+               "tta": True, "bins": 5, "raw_baseline": True, "trace_out": "x",
+               "entropy_out": "x", "mode": "train", "learned_alpha": True, "epochz": 3}
+
+
+class _Reached(Exception):
+    """Raised by the stubbed first step after a command's config check."""
+
+
+def _argv(command, data_dir, tmp_path):
+    data, out = str(data_dir), str(tmp_path / "out")
+    return {
+        "gen-synth": ["gen-synth", "--out", out],
+        "train": ["train", "--data", data, "--out", out],
+        "pretrain": ["pretrain", "--data", data, "--out", out],
+        "icc": ["icc", "--data", data, "--out", out],
+        "eval": ["eval", "--ckpt", out, "--data", data, "--report", out],
+        "linear-eval": ["linear-eval", "--ckpt", out, "--data", data, "--report", out],
+        "calibrate": ["calibrate", "--ckpt", out, "--data", data, "--out", out,
+                      "--entropy-out", out],
+        "activity-train": ["activity", "train", "--data", data, "--out", out],
+        "activity-eval": ["activity", "eval", "--data", data, "--ckpt", out],
+    }[command]
+
+
+@pytest.fixture
+def stop_after_check(monkeypatch):
+    def reached(*args, **kwargs):
+        raise _Reached
+    for name in ("gen_synthetic", "build_model", "restore_model", "linear_eval"):
+        monkeypatch.setattr(cli, name, reached)
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_config_accepts_every_key_the_command_reads(data_dir, tmp_path, command,
+                                                    stop_after_check):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_READS[command]))
+    with pytest.raises(_Reached):
+        main(_argv(command, data_dir, tmp_path) + ["--config", str(cfg)])
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_config_refuses_keys_the_command_does_not_read(data_dir, tmp_path, capsys,
+                                                       command, stop_after_check):
+    payload = dict(_NEVER_READ)
+    for reads in _READS.values():
+        payload.update(reads)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(_argv(command, data_dir, tmp_path) + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert set(err.split(": ", 1)[1].strip().split(", ")) == set(payload) - set(
+        _READS[command])
 
 
 def test_train_checkpoint_bytes_deterministic(data_dir, tmp_path):

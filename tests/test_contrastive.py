@@ -345,12 +345,21 @@ def test_contrastive_loss_no_positives_raises():
         contrastive_loss(feats, [sf], [np.array([0, 1])], [0], cfg)
 
 
-def test_contrastive_loss_zero_norm_feature_raises():
+def test_contrastive_loss_zero_norm_feature_is_finite():
     cfg = ContrastConfig(K=1, delta=0.5, num_clusters=2, use_video_level=False)
-    feats = [Tensor(np.zeros((10, 4)))]
-    sf = SampledFrames(times=np.array([0.1, 0.12]), frames=np.array([1, 1]))
-    with pytest.raises(NumericsError):
-        contrastive_loss(feats, [sf], [np.array([0, 0])], [0], cfg)
+    x = np.random.default_rng(23).normal(size=(10, 4))
+    x[1] = 0.0  # a dead frame
+    feats = [Tensor(x, requires_grad=True)]
+    sf = SampledFrames(times=np.array([0.1, 0.12, 0.7]), frames=np.array([1, 3, 5]))
+    with Tape() as tape:
+        loss = contrastive_loss(feats, [sf], [np.array([0, 0, 1])], [0], cfg)
+        tape.backward(loss)
+    # the zero row has similarity 0 to every row, so each anchor's terms
+    # have a closed form: anchor 0 -> log 2, anchor 1 -> log(1 + e^{s12/tau})
+    s12 = x[3] @ x[5] / (np.linalg.norm(x[3]) * np.linalg.norm(x[5]))
+    expect = (math.log(2.0) + math.log1p(math.exp(s12 / cfg.tau))) / 2.0
+    assert float(loss.data) == pytest.approx(expect, rel=1e-12)
+    assert np.all(np.isfinite(feats[0].grad))
 
 
 def test_contrastive_loss_gradient_matches_finite_differences():

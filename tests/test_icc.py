@@ -126,6 +126,15 @@ def test_classify_step_touches_only_labeled_clips(setting):
     assert len(losses) == SMALL_ICC.classify_epochs
 
 
+def test_classify_step_on_an_empty_pool_raises(setting):
+    _, audited, _ = setting
+    model = tiny_model()
+    heads = ProjectionHeads(model.cfg, substream(1, "heads-1"))
+    with pytest.raises(ValueError, match="nothing to train on"):
+        classify_step(model, heads, audited, [], SMALL_ICC, AUG_OFF, SMALL_CONTRAST,
+                      LossConfig(), seed=4, iteration=1)
+
+
 def test_contrast_step_reads_labels_only_where_it_may(setting):
     ds, audited, split = setting
     model = tiny_model()

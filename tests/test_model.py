@@ -491,12 +491,23 @@ def test_multires_rows_have_norm_sqrt_depth():
     np.testing.assert_allclose(np.linalg.norm(f, axis=1), 2.0, atol=1e-9)
 
 
-def test_multires_zero_norm_row_raises():
+def test_multires_zero_norm_row_maps_to_zero():
     rng = np.random.default_rng(19)
     outs = make_outputs(rng, 16, 3)
-    outs.z[1].data[:, 2] = 0.0
-    with pytest.raises(NumericsError):
-        multires_feature(outs, 16, "nearest")
+    for z_u in outs.z:
+        z_u.requires_grad = True
+    outs.z[1].data[:, 2] = 0.0  # a dead post-ReLU frame
+    dead = ~ad.upsample1d(outs.z[1], 16, "nearest").data.any(axis=0)
+    assert dead.any()
+    with Tape() as tape:
+        f = multires_feature(outs, 16, "nearest")
+        loss = ad.reduce_sum(ad.mul(f, Tensor(rng.normal(size=f.shape))))
+        tape.backward(loss)
+    block = f.data[:, 6:12]
+    np.testing.assert_array_equal(block[dead], 0.0)
+    np.testing.assert_allclose(np.linalg.norm(block[~dead], axis=1), 1.0, atol=1e-12)
+    assert np.isfinite(float(loss.data))
+    assert all(np.all(np.isfinite(z_u.grad)) for z_u in outs.z)
 
 
 def test_multires_padded_outputs_crop_to_true_length():

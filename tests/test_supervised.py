@@ -20,6 +20,7 @@ from c2fseg.supervised import (
     activity_loss,
     c2f_ensemble,
     cross_entropy,
+    fit,
     joint_loss,
     predict_labels,
     train_supervised,
@@ -75,9 +76,6 @@ def test_single_stage_weight_selects_that_stage():
     rng = np.random.default_rng(0)
     probs = random_stage_probs(rng, 12, 4, 3)
     outs = fake_outputs(probs)
-    # exact zeros are only expressible through the learned-weights path
-    picked = c2f_ensemble(outs, Tensor(np.array([1.0, 0.0, 0.0])))
-    np.testing.assert_array_equal(picked.data, probs[0])
     near = EnsembleWeights.normalized([1.0, 1e-15, 1e-15])
     np.testing.assert_allclose(c2f_ensemble(outs, near).data, probs[0], atol=1e-12)
 
@@ -108,8 +106,6 @@ def test_weight_count_mismatch_raises():
     outs = fake_outputs(random_stage_probs(np.random.default_rng(3), 5, 2, 3))
     with pytest.raises(ValueError):
         c2f_ensemble(outs, EnsembleWeights.uniform(4))
-    with pytest.raises(ValueError):
-        c2f_ensemble(outs, Tensor(np.ones(4) / 4))
 
 
 def test_positive_scaling_of_weights_keeps_argmax():
@@ -117,7 +113,7 @@ def test_positive_scaling_of_weights_keeps_argmax():
     outs = fake_outputs(random_stage_probs(rng, 30, 4, 3))
     raw = rng.random(3) + 0.05
     a = c2f_ensemble(outs, EnsembleWeights.normalized(raw)).data
-    b = c2f_ensemble(outs, Tensor(raw * 7.0)).data  # unnormalized mix
+    b = c2f_ensemble(outs, EnsembleWeights.normalized(raw * 7.0)).data
     np.testing.assert_array_equal(a.argmax(axis=1), b.argmax(axis=1))
 
 
@@ -329,6 +325,39 @@ def test_training_decreases_loss():
     assert trace[-1].total < trace[0].total
 
 
+class RecordingOptimizer:
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def step(self):
+        self.log.append(("step", self.name))
+
+    def zero_grad(self):
+        self.log.append(("zero_grad", self.name))
+
+
+def test_fit_steps_optimizers_in_order_and_returns_records_in_clip_order():
+    log = []
+    opts = [RecordingOptimizer("a", log), RecordingOptimizer("b", log)]
+    w = Tensor(np.ones(1), requires_grad=True)
+    items = list(range(7))
+
+    def batch_loss(batch):
+        log.append(("loss", tuple(batch)))
+        return ad.reduce_sum(ad.mul(w, float(len(batch)))), list(batch)
+
+    history = fit(items, opts, 2, 3, np.random.default_rng(8), batch_loss)
+    rng = np.random.default_rng(8)
+    for epoch in history:
+        order = rng.permutation(len(items)).tolist()
+        assert [len(b) for b in epoch] == [3, 3, 1]
+        assert [i for b in epoch for i in b] == order
+    per_batch = [("step", "a"), ("step", "b"), ("zero_grad", "a"), ("zero_grad", "b")]
+    batches = [b for epoch in history for b in epoch]
+    assert log == [e for b in batches for e in [("loss", tuple(b))] + per_batch]
+    assert w.grad is not None  # backward ran; the fake optimizers never clear
+
+
 def test_training_is_deterministic():
     rng = np.random.default_rng(12)
     clips = toy_dataset(rng)
@@ -357,13 +386,6 @@ def test_training_with_external_heads_leaves_model_heads_untouched():
     after_spare = [w.data for w in spare.parameters()]
     assert all(np.array_equal(a, b) for a, b in zip(before_model, after_model))
     assert any(not np.array_equal(a, b) for a, b in zip(before_spare, after_spare))
-
-
-def test_learned_alpha_path_trains():
-    rng = np.random.default_rng(14)
-    clips = toy_dataset(rng)
-    trace = short_train(toy_model(seed=4), clips, learned_alpha=True)
-    assert np.isfinite(trace[-1].total)
 
 
 def test_per_layer_loss_path_trains():
