@@ -35,15 +35,6 @@ def window_support(w0: int) -> np.ndarray:
     return np.arange(w0 // 2, 2 * w0 + 1)
 
 
-def window_probabilities(cfg: AugmentConfig) -> np.ndarray:
-    """Exact sampling distribution over ``window_support`` (oracle-friendly)."""
-    support = window_support(cfg.w0)
-    others = len(support) - 1
-    probs = np.full(len(support), (1.0 - cfg.pi0) / others if others else 0.0)
-    probs[support == cfg.w0] = cfg.pi0 if others else 1.0
-    return probs
-
-
 def sample_window(cfg: AugmentConfig, rng: np.random.Generator) -> int:
     cfg.validate()
     if rng.random() < cfg.pi0:

@@ -23,19 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericsError
 
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle finiteness verification; returns the previous setting."""
-    global _FINITE_CHECKS
-    previous = _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-    return previous
-
-
 def _check_finite(arr: np.ndarray, where: str) -> None:
-    if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise NumericsError(f"non-finite values produced by {where}")
 
 
@@ -70,32 +59,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    # Operator sugar keeps loss assembly readable.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def as_tensor(value) -> Tensor:
@@ -615,8 +578,9 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
         mean = x.data.mean(axis=1)
         var = x.data.var(axis=1)  # biased, also used for the running buffer
         m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mean
-        state.running_var = (1.0 - m) * state.running_var + m * var
+        # in place, so a name -> buffer table of the model stays live
+        state.running_mean[...] = (1.0 - m) * state.running_mean + m * mean
+        state.running_var[...] = (1.0 - m) * state.running_var + m * var
     else:
         mean = state.running_mean
         var = state.running_var
@@ -636,40 +600,3 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
         return dx, dgamma, dbeta
 
     return _apply((x, gamma, beta), out, backward, "batchnorm1d")
-
-
-# ---------------------------------------------------------------------------
-# Numerical differentiation helper (used heavily by the test suite)
-# ---------------------------------------------------------------------------
-
-def finite_difference_gradient(fn: Callable[..., float], arrays: Sequence[np.ndarray],
-                               step: float = 1e-5) -> list[np.ndarray]:
-    """Central-difference gradient of a scalar function of several arrays.
-
-    The inputs are copied; ``fn`` is re-invoked with the perturbed copies, so
-    callers may pass scalars or arrays they do not want mutated.
-    """
-    work = [np.array(a, dtype=np.float64) for a in arrays]
-    grads = []
-    for base in work:
-        grad = np.zeros_like(base)
-        flat = base.ravel()
-        gflat = grad.ravel()
-        for j in range(flat.size):
-            keep = flat[j]
-            flat[j] = keep + step
-            hi = fn(*work)
-            flat[j] = keep - step
-            lo = fn(*work)
-            flat[j] = keep
-            gflat[j] = (hi - lo) / (2.0 * step)
-        grads.append(grad)
-    return grads
-
-
-def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Max absolute difference over the max numeric magnitude (floored)."""
-    analytic = np.asarray(analytic)
-    numeric = np.asarray(numeric)
-    denom = max(float(np.abs(numeric).max(initial=0.0)), 1e-8)
-    return float(np.abs(analytic - numeric).max(initial=0.0)) / denom

@@ -78,6 +78,16 @@ def _opt(args, config: _Config, name: str, default):
     return fallback if value is None else value
 
 
+def _validated(*cfgs) -> None:
+    """Check the built configs before any work starts; a bad value is a
+    usage error, not a traceback."""
+    for cfg in cfgs:
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+
+
 def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
@@ -152,6 +162,7 @@ def cmd_gen_synth(args) -> int:
         seed=int(_opt(args, config, "seed", base.seed)),
     )
     config.check(args.command)
+    _validated(cfg)
     manifest = gen_synthetic(cfg, args.out)
     print(f"wrote {len(manifest.entries)} clips to {args.out}")
     return 0
@@ -176,6 +187,7 @@ def cmd_train(args) -> int:
         loss_per_layer=bool(_opt(args, config, "loss_per_layer", False)),
     )
     config.check(args.command)
+    _validated(model_cfg, augment_cfg)
     model = build_model(model_cfg, seed)
     trace = train_supervised(model, dataset.train(), augment_cfg, loss_cfg,
                              train_cfg, seed)
@@ -202,12 +214,13 @@ def cmd_pretrain(args) -> int:
         batch_size=int(_opt(args, config, "batch_size", _SYNTH["batch_size"])),
     )
     config.check(args.command)
+    _validated(model_cfg, augment_cfg, contrast_cfg)
     model = build_model(model_cfg, seed)
     losses = pretrain_unsupervised(model, dataset.train(), contrast_cfg, augment_cfg,
                                    train_cfg, seed)
     save_model(args.out, model)
-    print(f"pretrained {train_cfg.epochs} epochs "
-          f"(final loss {losses[-1]:.4f}); checkpoint at {args.out}")
+    final = f" (final loss {losses[-1]:.4f})" if losses else ""
+    print(f"pretrained {train_cfg.epochs} epochs{final}; checkpoint at {args.out}")
     return 0
 
 
@@ -234,6 +247,7 @@ def cmd_icc(args) -> int:
         skip_unsupervised=bool(_opt(args, config, "skip_unsupervised", False)),
     )
     config.check(args.command)
+    _validated(model_cfg, augment_cfg, contrast_cfg)
     model = build_model(model_cfg, seed)
     audited = AuditedDataset(dataset)
     split = make_split(dataset, icc_cfg.labeled_fraction, seed)
@@ -259,6 +273,7 @@ def cmd_eval(args) -> int:
     seed = int(_opt(args, config, "seed", 7))
     per_video_f1 = bool(_opt(args, config, "per_video_f1", False))
     config.check(args.command)
+    _validated(augment_cfg)
     model, heads = restore_model(args.ckpt)
     clips = dataset.split(args.split)
     if not clips:
@@ -295,6 +310,7 @@ def cmd_calibrate(args) -> int:
     dataset = Dataset.load(args.data)
     augment_cfg = _augment_config_for(args, config)
     config.check(args.command)
+    _validated(augment_cfg)
     model, heads = restore_model(args.ckpt)
     clips = dataset.test()
     report, entropies = calibration_for(model, clips, augment_cfg,
@@ -318,6 +334,7 @@ def cmd_activity(args) -> int:
         epochs = int(_opt(args, config, "epochs", 30))
         batch = int(_opt(args, config, "batch_size", _SYNTH["batch_size"]))
         config.check(args.command)
+        _validated(model_cfg)
         model = build_model(model_cfg, seed)
         clips = dataset.train()
 

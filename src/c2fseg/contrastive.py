@@ -34,7 +34,6 @@ class ContrastConfig:
     tau: float = 0.1               # similarity temperature
     num_clusters: int = 12         # k for the per-batch clustering
     use_video_level: bool = True
-    upsample_mode: str = "linear"  # how decoder stages reach frame rate
 
     def validate(self) -> None:
         if self.K < 1:
@@ -47,8 +46,6 @@ class ContrastConfig:
             raise ValueError("epsilon must lie in (0, 1/K)")
         if self.num_clusters < 2:
             raise ValueError("need at least two clusters")
-        if self.upsample_mode not in ("linear", "nearest"):
-            raise ValueError(f"unknown upsample_mode {self.upsample_mode!r}")
 
     @property
     def eps(self) -> float:
@@ -203,19 +200,6 @@ def _masked_nce(rows: Tensor, pos_mask: np.ndarray, neg_mask: np.ndarray,
     return total, int(pos_mask.sum())
 
 
-def frame_contrast_probabilities(rows: np.ndarray, sets: PosNegSets,
-                                 tau: float) -> list[np.ndarray]:
-    """Plain-numpy p_ij for each anchor's positives (diagnostics/tests)."""
-    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    sim = rows @ rows.T
-    e = np.exp(sim / tau)
-    out = []
-    for a in range(len(sets.pos)):
-        denom_neg = e[a, sets.neg[a]].sum()
-        out.append(e[a, sets.pos[a]] / (e[a, sets.pos[a]] + denom_neg))
-    return out
-
-
 def contrastive_loss(features: list[Tensor], samples: list[SampledFrames],
                      labels: list[np.ndarray], activities: list[int],
                      cfg: ContrastConfig) -> Tensor:
@@ -304,7 +288,7 @@ def run_contrast_training(model: Model, clips: list[ContrastClip],
         feats, samples, frame_labels = [], [], []
         for v, y in zip(pooled_feats, pooled_labels):
             outputs = model.forward(v, train=True)
-            feats.append(multires_feature(outputs, v.shape[0], mode=cfg.upsample_mode))
+            feats.append(multires_feature(outputs, v.shape[0], mode="linear"))
             sf = sample_frames(v.shape[0], cfg, rng)
             samples.append(sf)
             frame_labels.append(np.asarray(y)[sf.frames])

@@ -37,6 +37,14 @@ FORMAT_VERSION = 1
 # Feature and label files
 # ---------------------------------------------------------------------------
 
+def _read(path, text: bool = False):
+    """Contents of ``path``; a missing file is a data error that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8") if text else Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise DataFormatError(f"{path}: no such file") from exc
+
+
 def save_features(path, features: np.ndarray) -> None:
     features = np.asarray(features, dtype=np.float32)
     if features.ndim != 2:
@@ -49,7 +57,7 @@ def save_features(path, features: np.ndarray) -> None:
 
 
 def load_features(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    raw = _read(path)
     if len(raw) < 16:
         raise DataFormatError(f"{path}: truncated header")
     if raw[:4] != FEATURE_MAGIC:
@@ -68,7 +76,7 @@ def save_labels(path, names: list[str]) -> None:
 
 
 def load_label_names(path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read(path, text=True)
     return [line for line in text.splitlines() if line.strip()]
 
 
@@ -79,7 +87,7 @@ def save_mapping(path, class_names: list[str]) -> None:
 
 def load_mapping(path) -> list[str]:
     names: dict[int, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in _read(path, text=True).splitlines():
         if not line.strip():
             continue
         try:
@@ -127,7 +135,7 @@ class Manifest:
     @classmethod
     def load(cls, path) -> "Manifest":
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            payload = json.loads(_read(path, text=True))
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
         entries = []
@@ -459,7 +467,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    raw = Path(path).read_bytes()
+    raw = _read(path)
     if len(raw) < 12:
         raise DataFormatError(f"{path}: truncated header")
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -500,7 +508,8 @@ _META_UPSAMPLE = {"linear": 0.0, "nearest": 1.0}
 
 def model_state(model: Model, heads: ProjectionHeads | None = None) -> dict[str, np.ndarray]:
     """Named tensors for a checkpoint: parameters, norm buffers, and enough
-    metadata to rebuild the exact topology."""
+    metadata to rebuild the exact topology.  Parameters and buffers are the
+    model's own arrays, not copies; ``load_into`` writes through them."""
     heads = model.heads if heads is None else heads
     cfg = model.cfg
     state: dict[str, np.ndarray] = {
@@ -544,34 +553,23 @@ def config_from_state(state: dict[str, np.ndarray]) -> ModelConfig:
 
 def load_into(model: Model, heads: ProjectionHeads, state: dict[str, np.ndarray],
               source: str = "checkpoint") -> None:
-    expected = model_state(model, heads)
-    missing = sorted(set(expected) - set(state))
+    """Copy every parameter and norm buffer of ``state`` into the model's own
+    arrays, which ``model_state`` hands out live; shapes must match."""
+    targets = model_state(model, heads)
+    missing = sorted(set(targets) - set(state))
     if missing:
         raise DataFormatError(f"{source}: missing tensor {missing[0]!r}")
-    extra = sorted(set(state) - set(expected))
+    extra = sorted(set(state) - set(targets))
     if extra:
         raise DataFormatError(f"{source}: unexpected tensor {extra[0]!r}")
-    lookup = dict(model.named_parameters())
-    lookup.update(dict(heads.named_parameters()))
-    buffer_layers = {}
-    for i, stage in enumerate(model.enc_stages):
-        buffer_layers[f"enc{i}.bn1"] = stage.bn1
-        buffer_layers[f"enc{i}.bn2"] = stage.bn2
-    for u, stage in enumerate(model.dec_stages, start=1):
-        buffer_layers[f"dec{u}.bn1"] = stage.bn1
-        buffer_layers[f"dec{u}.bn2"] = stage.bn2
     for name, value in state.items():
         if name.startswith("meta."):
             continue
-        if name in lookup:
-            if lookup[name].data.shape != value.shape:
-                raise DataFormatError(
-                    f"{source}: tensor {name!r} has shape {value.shape}, "
-                    f"expected {lookup[name].data.shape}")
-            lookup[name].data = value.astype(np.float64)
-        else:
-            prefix, field = name.rsplit(".", 1)
-            buffer_layers[prefix].load_buffer(field, value)
+        target = targets[name]
+        if target.shape != value.shape:
+            raise DataFormatError(f"{source}: tensor {name!r} has shape {value.shape}, "
+                                  f"expected {target.shape}")
+        target[...] = value
 
 
 def save_model(path, model: Model, heads: ProjectionHeads | None = None) -> None:

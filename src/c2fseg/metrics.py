@@ -39,13 +39,6 @@ def segments_from_labels(y: np.ndarray) -> list[Segment]:
     return [Segment(int(y[s]), int(s), int(e)) for s, e in zip(starts, ends)]
 
 
-def labels_from_segments(segments: list[Segment]) -> np.ndarray:
-    out = np.empty(segments[-1].end, dtype=np.int64)
-    for seg in segments:
-        out[seg.start:seg.end] = seg.label
-    return out
-
-
 def mof(pred: np.ndarray, gt: np.ndarray) -> float:
     """Percentage of frames labeled correctly."""
     pred, gt = np.asarray(pred), np.asarray(gt)

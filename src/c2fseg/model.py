@@ -118,12 +118,6 @@ class BatchNorm1dLayer:
         yield f"{prefix}.running_mean", self.state.running_mean
         yield f"{prefix}.running_var", self.state.running_var
 
-    def load_buffer(self, name: str, value: np.ndarray) -> None:
-        if name.endswith("running_mean"):
-            self.state.running_mean = value.astype(np.float64)
-        else:
-            self.state.running_var = value.astype(np.float64)
-
 
 class DoubleConv:
     """conv -> norm -> relu, twice; the basic block of every stage."""

@@ -1,9 +1,8 @@
 """Named hyperparameter profiles.
 
 ``synthetic`` is the desk-scale reference profile every CLI command
-defaults to; the three benchmark profiles record the published settings
-for their datasets (video counts there make them impractical without the
-original features, but the numbers belong with the code).
+defaults to.  The published per-dataset settings need the original I3D
+features, so they are listed in the README rather than kept here.
 """
 
 from __future__ import annotations
@@ -35,69 +34,4 @@ PROFILES: dict[str, dict] = {
         "delta": 0.05,
         "num_clusters": 12,
     },
-    "breakfast": {
-        "input_dim": 2048,
-        "num_classes": 48,
-        "num_activities": 10,
-        "encoder_channels": (256, 256, 256, 128, 128, 128, 128),
-        "decoder_channels": (128, 128, 128, 128, 128, 128),
-        "w0": 10,
-        "pi0": 0.5,
-        "lr": 1e-4,
-        "weight_decay": 3e-3,
-        "epochs": 600,
-        "batch_size": 100,
-        "contrast_lr": 1e-3,
-        "contrast_epochs": 100,
-        "contrast_pi0": 0.9,
-        "K": 20,
-        "delta": 0.03,
-        "num_clusters": 100,
-    },
-    "50salads": {
-        "input_dim": 2048,
-        "num_classes": 19,
-        "num_activities": 1,
-        "encoder_channels": (256, 256, 256, 128, 128, 128, 128),
-        "decoder_channels": (128, 128, 128, 128, 128, 128),
-        "w0": 20,
-        "pi0": 0.5,
-        "lr": 3e-4,
-        "weight_decay": 1e-3,
-        "epochs": 600,
-        "batch_size": 25,
-        "contrast_lr": 1e-3,
-        "contrast_epochs": 100,
-        "contrast_pi0": 0.9,
-        "K": 60,
-        "delta": 0.5,
-        "num_clusters": 40,
-    },
-    "gtea": {
-        "input_dim": 2048,
-        "num_classes": 11,
-        "num_activities": 1,
-        "encoder_channels": (256, 256, 256, 128, 128, 128, 128),
-        "decoder_channels": (128, 128, 128, 128, 128, 128),
-        "w0": 4,
-        "pi0": 0.5,
-        "lr": 5e-4,
-        "weight_decay": 3e-4,
-        "epochs": 600,
-        "batch_size": 11,
-        "contrast_lr": 1e-3,
-        "contrast_epochs": 100,
-        "contrast_pi0": 0.9,
-        "K": 20,
-        "delta": 0.02,
-        "num_clusters": 30,
-    },
-}
-
-# Semi-supervised settings shared across benchmark profiles.
-SEMI_SUPERVISED = {
-    "lr_g": 1e-2,
-    "lr_m_classify": 1e-5,
-    "lr_m_contrast": 1e-3,
-    "iterations": 4,
 }

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from c2fseg.augment import (AugmentConfig, pool_features, pool_labels,
                             sample_window, stable_window, tta_predict,
-                            window_probabilities, window_support)
+                            window_support)
 from c2fseg.inference import predict_probs_window
 from c2fseg.model import ModelConfig, build_model
 from c2fseg.seeding import substream
+
+from oracles import window_probabilities
 
 
 def oracle_pool_features(v, w):

@@ -14,6 +14,8 @@ from c2fseg.autodiff import Tensor, Tape, BatchNormState
 from c2fseg.errors import NumericsError
 from c2fseg.optim import Adam
 
+from oracles import finite_difference_gradient, relative_error
+
 
 def grad_check(op, arrays, tol=1e-4, step=1e-5, seed=0):
     """Backprop a fixed random cotangent through ``op`` and compare against
@@ -34,10 +36,10 @@ def grad_check(op, arrays, tol=1e-4, step=1e-5, seed=0):
         forward(*arrays)  # fixes the cotangent
         loss = ad.reduce_sum(ad.mul(out, cot))
         tape.backward(loss)
-    numeric = ad.finite_difference_gradient(forward, arrays, step=step)
+    numeric = finite_difference_gradient(forward, arrays, step=step)
     for t, n in zip(tensors, numeric):
         assert t.grad is not None
-        assert ad.relative_error(t.grad, n) < tol
+        assert relative_error(t.grad, n) < tol
     return [t.grad for t in tensors]
 
 
@@ -397,10 +399,10 @@ def test_grad_composed_ce_graph():
             return loss, (x, w, b)
 
     _, tensors = run(x0, w0, b0)
-    numeric = ad.finite_difference_gradient(
+    numeric = finite_difference_gradient(
         lambda *arrs: float(run(*arrs)[0].data), [x0, w0, b0])
     for t, n in zip(tensors, numeric):
-        assert ad.relative_error(t.grad, n) < 1e-4
+        assert relative_error(t.grad, n) < 1e-4
 
 
 # ---------------------------------------------------------------------------

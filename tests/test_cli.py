@@ -9,6 +9,7 @@ import pytest
 from c2fseg import cli
 from c2fseg.cli import main
 from c2fseg.data import load_features, restore_model, save_features
+from c2fseg.model import build_model
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +116,22 @@ def test_corrupt_features_exit_3(data_dir, tmp_path):
     assert rc == 3
 
 
+def test_invalid_config_value_is_one_usage_line(tmp_path, capsys):
+    rc = main(["gen-synth", "--out", str(tmp_path / "d"), "--test-fraction", "1.0"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error[2] test_fraction must lie in (0, 1)"]
+    assert not (tmp_path / "d").exists()
+
+
+def test_missing_data_dir_names_the_file(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    rc = main(["train", "--data", str(missing), "--out", str(tmp_path / "m.bin")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error[3] {missing / 'manifest.json'}: no such file"]
+
+
 def test_nan_features_exit_4(data_dir, tmp_path):
     poisoned = tmp_path / "nan-data"
     shutil.copytree(data_dir, poisoned)
@@ -138,6 +155,21 @@ def test_train_writes_checkpoint_and_trace(data_dir, tmp_path):
     model, _ = restore_model(out)
     assert model.cfg.num_classes == 6
     assert model.cfg.input_dim == 32
+
+
+def test_pretrain_zero_epochs_writes_untrained_checkpoint(data_dir, tmp_path):
+    out = tmp_path / "pre.bin"
+    rc = main(["pretrain", "--data", str(data_dir), "--out", str(out),
+               "--epochs", "0", "--seed", "5"])
+    assert rc == 0
+    model, _ = restore_model(out)
+    untrained = build_model(model.cfg, 5)
+    for (name, a), (_, b) in zip(model.named_parameters(), untrained.named_parameters()):
+        np.testing.assert_array_equal(a.data, b.data.astype(np.float32), err_msg=name)
+    report = tmp_path / "probe.json"
+    rc = main(["linear-eval", "--ckpt", str(out), "--data", str(data_dir),
+               "--report", str(report), "--epochs", "3"])
+    assert rc == 0
 
 
 def test_flag_overrides_config_file(data_dir, tmp_path):

@@ -434,6 +434,17 @@ def test_model_state_rejects_shape_mismatch():
         load_into(tiny_model(seed=6), tiny_model(seed=6).heads, state)
 
 
+@pytest.mark.parametrize("name", ["enc0.bn1.running_mean", "dec2.bn2.running_var"])
+@pytest.mark.parametrize("shape", [(1,), (3,)])
+def test_model_state_rejects_buffer_shape_mismatch(tmp_path, name, shape):
+    # a (1,) buffer would broadcast silently, a (3,) one fail later in numpy
+    state = model_state(tiny_model())
+    state[name] = np.ones(shape)
+    save_checkpoint(tmp_path / "m.bin", state)
+    with pytest.raises(DataFormatError, match=f"{name}.*shape"):
+        restore_model(tmp_path / "m.bin")
+
+
 def test_restore_model_reproduces_forward(tmp_path):
     model = tiny_model(seed=7)
     # dirty the norm buffers so restoration must carry them too

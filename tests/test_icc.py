@@ -10,7 +10,6 @@ from c2fseg.icc import (ICCConfig, classify_step, contrast_step, pseudo_label,
                         run_icc)
 from c2fseg.inference import predict_probs
 from c2fseg.model import ModelConfig, ProjectionHeads, build_model
-from c2fseg.profiles import SEMI_SUPERVISED
 from c2fseg.seeding import substream
 from c2fseg.supervised import LossConfig
 
@@ -147,7 +146,8 @@ def test_contrast_step_reads_labels_only_where_it_may(setting):
 
 def test_config_defaults_follow_profile():
     cfg = ICCConfig()
-    assert cfg.iterations == SEMI_SUPERVISED["iterations"]
-    assert cfg.lr_g == SEMI_SUPERVISED["lr_g"]
-    assert cfg.lr_m_classify == SEMI_SUPERVISED["lr_m_classify"]
-    assert cfg.lr_m_contrast == SEMI_SUPERVISED["lr_m_contrast"]
+    # the paper's semi-supervised settings
+    assert cfg.iterations == 4
+    assert cfg.lr_g == 1e-2
+    assert cfg.lr_m_classify == 1e-5
+    assert cfg.lr_m_contrast == 1e-3

@@ -12,8 +12,10 @@ import pytest
 
 from c2fseg.metrics import (SegReport, calibration, edit_score,
                             entropy_histogram_csv, f1_at_k, f1_counts,
-                            labels_from_segments, levenshtein, mof,
-                            segments_from_labels, wrong_prediction_entropy)
+                            levenshtein, mof, segments_from_labels,
+                            wrong_prediction_entropy)
+
+from oracles import labels_from_segments
 
 
 # ---------------------------------------------------------------------------
