@@ -90,7 +90,10 @@ def pool_labels(y: np.ndarray, w: int) -> np.ndarray:
 def tta_predict(model, v: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator,
                 alpha=None, heads=None) -> np.ndarray:
     """Monte-Carlo average of full-length ensemble predictions over window draws."""
-    from .inference import predict_probs_window  # local import breaks a module cycle
+    # inference imports this module; the late import breaks the cycle.  It stays
+    # until tta_predict moves to inference, which the benchmark's layer trace
+    # blocks: it wraps augment.tta_predict by that name.
+    from .inference import predict_probs_window
 
     cfg.validate()
     t = np.asarray(v).shape[0]

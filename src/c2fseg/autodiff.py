@@ -201,11 +201,6 @@ def div(a, b) -> Tensor:
     return _apply((a, b), out, backward, "div")
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _apply((a,), -a.data, lambda g: (-g,), "neg")
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
@@ -380,12 +375,6 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return _apply((a,), out, backward, "reduce_sum")
-
-
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def reduce_max(a, axis: int) -> Tensor:

@@ -88,6 +88,14 @@ def _validated(*cfgs) -> None:
             raise UsageError(str(exc)) from exc
 
 
+def _check_outputs(*paths) -> None:
+    """Refuse, before any data is loaded, an output file whose directory
+    does not exist, so a long run cannot die at its final write."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise UsageError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
@@ -169,6 +177,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_outputs(args.out, args.trace_out)
     config = _load_config(args.config)
     dataset = Dataset.load(args.data)
     seed = int(_opt(args, config, "seed", 7))
@@ -187,7 +196,7 @@ def cmd_train(args) -> int:
         loss_per_layer=bool(_opt(args, config, "loss_per_layer", False)),
     )
     config.check(args.command)
-    _validated(model_cfg, augment_cfg)
+    _validated(model_cfg, augment_cfg, train_cfg)
     model = build_model(model_cfg, seed)
     trace = train_supervised(model, dataset.train(), augment_cfg, loss_cfg,
                              train_cfg, seed)
@@ -200,6 +209,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    _check_outputs(args.out)
     config = _load_config(args.config)
     dataset = Dataset.load(args.data)
     seed = int(_opt(args, config, "seed", 7))
@@ -214,7 +224,7 @@ def cmd_pretrain(args) -> int:
         batch_size=int(_opt(args, config, "batch_size", _SYNTH["batch_size"])),
     )
     config.check(args.command)
-    _validated(model_cfg, augment_cfg, contrast_cfg)
+    _validated(model_cfg, augment_cfg, contrast_cfg, train_cfg)
     model = build_model(model_cfg, seed)
     losses = pretrain_unsupervised(model, dataset.train(), contrast_cfg, augment_cfg,
                                    train_cfg, seed)
@@ -247,7 +257,7 @@ def cmd_icc(args) -> int:
         skip_unsupervised=bool(_opt(args, config, "skip_unsupervised", False)),
     )
     config.check(args.command)
-    _validated(model_cfg, augment_cfg, contrast_cfg)
+    _validated(model_cfg, augment_cfg, contrast_cfg, icc_cfg)
     model = build_model(model_cfg, seed)
     audited = AuditedDataset(dataset)
     split = make_split(dataset, icc_cfg.labeled_fraction, seed)
@@ -266,6 +276,7 @@ def cmd_icc(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_outputs(args.report)
     config = _load_config(args.config)
     dataset = Dataset.load(args.data)
     augment_cfg = replace(_augment_config_for(args, config),
@@ -288,11 +299,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_linear_eval(args) -> int:
+    _check_outputs(args.report)
     config = _load_config(args.config)
     dataset = Dataset.load(args.data)
     cfg = LinearEvalConfig(lr=float(_opt(args, config, "lr", 1e-2)),
                            epochs=int(_opt(args, config, "epochs", 300)))
     config.check(args.command)
+    _validated(cfg)
     raw = bool(args.raw_baseline)
     model = None
     if not raw:
@@ -306,15 +319,15 @@ def cmd_linear_eval(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    _check_outputs(args.out, args.entropy_out)
     config = _load_config(args.config)
     dataset = Dataset.load(args.data)
     augment_cfg = _augment_config_for(args, config)
     config.check(args.command)
     _validated(augment_cfg)
-    model, heads = restore_model(args.ckpt)
-    clips = dataset.test()
-    report, entropies = calibration_for(model, clips, augment_cfg,
-                                        num_bins=int(args.bins), heads=heads)
+    model, _ = restore_model(args.ckpt)
+    report, entropies = calibration_for(model, dataset.test(), augment_cfg,
+                                        num_bins=int(args.bins))
     Path(args.out).write_text(report.to_csv(), encoding="utf-8")
     Path(args.entropy_out).write_text(
         entropy_histogram_csv(entropies, dataset.num_classes), encoding="utf-8")
@@ -323,6 +336,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_activity(args) -> int:
+    _check_outputs(args.out if args.mode == "train" else args.report)
     config = _load_config(args.config)
     dataset = Dataset.load(args.data)
     seed = int(_opt(args, config, "seed", 7))
@@ -349,20 +363,20 @@ def cmd_activity(args) -> int:
         fit(clips, [Adam(model.backbone_parameters(), lr=lr)], epochs, batch,
             substream(seed, "sampler"), batch_loss)
         save_model(args.out, model)
-        correct = sum(int(np.argmax(model.activity_probs(
-            model.encode(c.features)).data) == c.activity) for c in clips)
-        print(f"activity head trained; train accuracy {100.0 * correct / len(clips):.2f}; "
-              f"checkpoint at {args.out}")
-        return 0
-    config.check(args.command)
-    model, _ = restore_model(args.ckpt)
-    clips = dataset.test()
+    else:
+        config.check(args.command)
+        model, _ = restore_model(args.ckpt)
+        clips = dataset.test()
     correct = sum(int(np.argmax(model.activity_probs(
         model.encode(c.features)).data) == c.activity) for c in clips)
-    report = {"accuracy": 100.0 * correct / len(clips), "videos": len(clips)}
+    accuracy = 100.0 * correct / len(clips)
+    if args.mode == "train":
+        print(f"activity head trained; train accuracy {accuracy:.2f}; "
+              f"checkpoint at {args.out}")
+        return 0
     if args.report:
-        _write_json(args.report, report)
-    print(f"activity accuracy {report['accuracy']:.2f} over {report['videos']} clips")
+        _write_json(args.report, {"accuracy": accuracy, "videos": len(clips)})
+    print(f"activity accuracy {accuracy:.2f} over {len(clips)} clips")
     return 0
 
 

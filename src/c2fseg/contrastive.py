@@ -20,10 +20,10 @@ from .augment import AugmentConfig
 from .autodiff import Tape, Tensor
 from .errors import NumericsError
 from .metrics import SegReport
-from .model import Model, multires_feature, normalize_rows
+from .model import DecoderOutputs, Model, multires_feature, normalize_rows
 from .optim import Adam
 from .seeding import substream
-from .supervised import PROB_FLOOR, fit, pooled_clip
+from .supervised import PROB_FLOOR, check_schedule, cross_entropy, fit, pooled_clip
 
 
 @dataclass(frozen=True)
@@ -135,19 +135,16 @@ def sample_frames(t_n: int, cfg: ContrastConfig, rng: np.random.Generator) -> Sa
 
 @dataclass
 class PosNegSets:
-    """Per-anchor positive and negative index lists over the flattened batch.
+    """[N, N] boolean pair masks over the flattened batch; row ``a`` is the
+    anchor.  Index ``a`` ranges over all sampled frames of all clips,
+    clip-major in batch order."""
 
-    Index ``a`` ranges over all sampled frames of all clips, clip-major in
-    batch order; ``clip_of[a]`` recovers the owning clip.
-    """
-
-    pos: list
-    neg: list
-    clip_of: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
 
     @property
     def total_positive_pairs(self) -> int:
-        return int(sum(len(p) for p in self.pos))
+        return int(self.pos.sum())
 
 
 def build_sets(samples: list[SampledFrames], labels: list[np.ndarray],
@@ -160,23 +157,17 @@ def build_sets(samples: list[SampledFrames], labels: list[np.ndarray],
     """
     times = np.concatenate([s.times for s in samples])
     labs = np.concatenate([np.asarray(l, dtype=np.int64) for l in labels])
-    clip_of = np.concatenate([np.full(len(s.times), i, dtype=np.int64)
-                              for i, s in enumerate(samples)])
-    acts = np.asarray(activities, dtype=np.int64)[clip_of]
+    acts = np.repeat(np.asarray(activities, dtype=np.int64),
+                     [len(s.times) for s in samples])
     if labs.shape != times.shape:
         raise ValueError("one label per sampled frame required")
-    n = times.size
-    pos, neg = [], []
-    for a in range(n):
-        same_act = acts == acts[a] if use_video_level else np.ones(n, dtype=bool)
-        same_label = labs == labs[a]
-        close = np.abs(times - times[a]) < delta
-        p_mask = same_act & same_label & close
-        p_mask[a] = False
-        n_mask = ~same_act | (same_act & ~same_label)
-        pos.append(np.flatnonzero(p_mask))
-        neg.append(np.flatnonzero(n_mask))
-    return PosNegSets(pos=pos, neg=neg, clip_of=clip_of)
+    same_act = acts[:, None] == acts[None, :] if use_video_level else True
+    same_label = labs[:, None] == labs[None, :]
+    close = np.abs(times[None, :] - times[:, None]) < delta
+    pos = same_act & same_label & close
+    np.fill_diagonal(pos, False)
+    neg = ~(same_act & same_label)
+    return PosNegSets(pos=pos, neg=neg)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +201,9 @@ def contrastive_loss(features: list[Tensor], samples: list[SampledFrames],
     sets = build_sets(samples, labels, activities, cfg.delta, cfg.use_video_level)
     gathered = [ad.take_rows(f, s.frames) for f, s in zip(features, samples)]
     rows = normalize_rows(ad.concat(gathered, axis=0))
-    n = rows.shape[0]
-    pos_mask = np.zeros((n, n), dtype=bool)
-    neg_mask = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        pos_mask[a, sets.pos[a]] = True
-        neg_mask[a, sets.neg[a]] = True
-    if not pos_mask.any():
+    if not sets.pos.any():
         raise NumericsError("no positive pairs in batch; contrastive loss undefined")
-    frame_total, frame_pairs = _masked_nce(rows, pos_mask, neg_mask, cfg.tau)
+    frame_total, frame_pairs = _masked_nce(rows, sets.pos, sets.neg, cfg.tau)
     loss = ad.mul(frame_total, 1.0 / frame_pairs)
 
     if cfg.use_video_level and len(features) > 1:
@@ -231,6 +216,15 @@ def contrastive_loss(features: list[Tensor], samples: list[SampledFrames],
             video_total, video_pairs = _masked_nce(clip_rows, v_pos, v_neg, cfg.tau)
             loss = ad.add(loss, ad.mul(video_total, 1.0 / video_pairs))
     return loss
+
+
+def sampled_view(outputs: DecoderOutputs, t: int, y: np.ndarray, cfg: ContrastConfig,
+                 rng: np.random.Generator) -> tuple[Tensor, SampledFrames, np.ndarray]:
+    """What ``contrastive_loss`` takes of one forwarded clip of ``t`` frames:
+    its multi-resolution feature, the frames sampled from it, their labels."""
+    feature = multires_feature(outputs, t, mode="linear")
+    sf = sample_frames(t, cfg, rng)
+    return feature, sf, np.asarray(y)[sf.frames]
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +245,9 @@ class ContrastTrainConfig:
     weight_decay: float = 0.0
     epochs: int = 30
     batch_size: int = 8
+
+    def validate(self) -> None:
+        check_schedule(self.lr, self.epochs, self.batch_size)
 
 
 def run_contrast_training(model: Model, clips: list[ContrastClip],
@@ -285,15 +282,9 @@ def run_contrast_training(model: Model, clips: list[ContrastClip],
                 t_i = pooled_feats[i].shape[0]
                 pooled_labels[i] = assign[cursor:cursor + t_i]
                 cursor += t_i
-        feats, samples, frame_labels = [], [], []
-        for v, y in zip(pooled_feats, pooled_labels):
-            outputs = model.forward(v, train=True)
-            feats.append(multires_feature(outputs, v.shape[0], mode="linear"))
-            sf = sample_frames(v.shape[0], cfg, rng)
-            samples.append(sf)
-            frame_labels.append(np.asarray(y)[sf.frames])
-        loss = contrastive_loss(feats, samples, frame_labels,
-                                [c.activity for c in batch], cfg)
+        views = [sampled_view(model.forward(v, train=True), v.shape[0], y, cfg, rng)
+                 for v, y in zip(pooled_feats, pooled_labels)]
+        loss = contrastive_loss(*zip(*views), [c.activity for c in batch], cfg)
         return loss, float(loss.data)
 
     history = fit(clips, [opt], train_cfg.epochs, train_cfg.batch_size, rng, batch_loss)
@@ -319,6 +310,9 @@ class LinearEvalConfig:
     lr: float = 1e-2
     epochs: int = 300
 
+    def validate(self) -> None:
+        check_schedule(self.lr, self.epochs)
+
 
 def _clip_representation(model: Model | None, clip, raw: bool) -> np.ndarray:
     if raw or model is None:
@@ -340,20 +334,15 @@ def linear_eval(model: Model | None, train_clips: list, test_clips: list,
     xs = [_clip_representation(model, c, raw) for c in train_clips]
     x = np.concatenate(xs, axis=0)
     y = np.concatenate([c.labels for c in train_clips])
-    n, d = x.shape
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), y] = 1.0
 
-    w = Tensor(np.zeros((num_classes, d)), requires_grad=True)
+    w = Tensor(np.zeros((num_classes, x.shape[1])), requires_grad=True)
     b = Tensor(np.zeros(num_classes), requires_grad=True)
     opt = Adam([w, b], lr=cfg.lr)
-    x_const, oh_const = Tensor(x), Tensor(onehot)
+    x_const = Tensor(x)
     for _ in range(cfg.epochs):
         with Tape() as tape:
             logits = ad.add(ad.matmul(x_const, ad.transpose2d(w)), ad.reshape(b, (1, -1)))
-            p = ad.softmax(logits, axis=1)
-            picked = ad.reduce_sum(ad.mul(ad.log(ad.clamp_min(p, PROB_FLOOR)), oh_const))
-            tape.backward(ad.mul(picked, -1.0 / n))
+            tape.backward(cross_entropy(ad.softmax(logits, axis=1), y))
         opt.step()
         opt.zero_grad()
 

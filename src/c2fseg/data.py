@@ -506,11 +506,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 _META_UPSAMPLE = {"linear": 0.0, "nearest": 1.0}
 
 
-def model_state(model: Model, heads: ProjectionHeads | None = None) -> dict[str, np.ndarray]:
+def model_state(model: Model) -> dict[str, np.ndarray]:
     """Named tensors for a checkpoint: parameters, norm buffers, and enough
     metadata to rebuild the exact topology.  Parameters and buffers are the
     model's own arrays, not copies; ``load_into`` writes through them."""
-    heads = model.heads if heads is None else heads
     cfg = model.cfg
     state: dict[str, np.ndarray] = {
         "meta.model": np.array([cfg.input_dim, cfg.num_classes, cfg.num_activities,
@@ -521,12 +520,11 @@ def model_state(model: Model, heads: ProjectionHeads | None = None) -> dict[str,
         "meta.decoder_channels": np.asarray(cfg.decoder_channels, dtype=np.float64),
         "meta.tpp_windows": np.asarray(cfg.tpp_windows, dtype=np.float64),
     }
-    head_names = {name for name, _ in model.heads.named_parameters()}
+    heads = dict(model.heads.named_parameters())
     for name, tensor in model.named_parameters():
-        if name in head_names:
-            continue
-        state[name] = tensor.data
-    for name, tensor in heads.named_parameters():
+        if name not in heads:
+            state[name] = tensor.data
+    for name, tensor in heads.items():  # heads last: the checkpoint order
         state[name] = tensor.data
     for name, buf in model.named_buffers():
         state[name] = buf
@@ -551,11 +549,11 @@ def config_from_state(state: dict[str, np.ndarray]) -> ModelConfig:
                        activity_hidden=int(meta[7]))
 
 
-def load_into(model: Model, heads: ProjectionHeads, state: dict[str, np.ndarray],
+def load_into(model: Model, state: dict[str, np.ndarray],
               source: str = "checkpoint") -> None:
     """Copy every parameter and norm buffer of ``state`` into the model's own
     arrays, which ``model_state`` hands out live; shapes must match."""
-    targets = model_state(model, heads)
+    targets = model_state(model)
     missing = sorted(set(targets) - set(state))
     if missing:
         raise DataFormatError(f"{source}: missing tensor {missing[0]!r}")
@@ -572,8 +570,8 @@ def load_into(model: Model, heads: ProjectionHeads, state: dict[str, np.ndarray]
         target[...] = value
 
 
-def save_model(path, model: Model, heads: ProjectionHeads | None = None) -> None:
-    save_checkpoint(path, model_state(model, heads))
+def save_model(path, model: Model) -> None:
+    save_checkpoint(path, model_state(model))
 
 
 def restore_model(path) -> tuple[Model, ProjectionHeads]:
@@ -581,5 +579,5 @@ def restore_model(path) -> tuple[Model, ProjectionHeads]:
     state = load_checkpoint(path)
     cfg = config_from_state(state)
     model = build_model(cfg, seed=0)
-    load_into(model, model.heads, state, source=str(path))
+    load_into(model, state, source=str(path))
     return model, model.heads

@@ -22,15 +22,15 @@ import numpy as np
 from . import autodiff as ad
 from .augment import AugmentConfig
 from .contrastive import (ContrastClip, ContrastConfig, ContrastTrainConfig,
-                          contrastive_loss, run_contrast_training, sample_frames)
+                          contrastive_loss, pretrain_unsupervised,
+                          run_contrast_training, sampled_view)
 from .data import AuditedDataset, SplitSpec
 from .inference import evaluate_clips, predict_probs
 from .metrics import SegReport
-from .model import Model, ProjectionHeads, multires_feature
+from .model import Model, ProjectionHeads
 from .optim import Adam
 from .seeding import substream
-from .supervised import (EnsembleWeights, LossConfig, c2f_ensemble, fit, joint_loss,
-                         pooled_clip)
+from .supervised import LossConfig, c2f_ensemble, fit, joint_loss, pooled_clip
 
 
 @dataclass
@@ -48,6 +48,21 @@ class ICCConfig:
     classify_transition: bool = False   # transition penalty stays off by default
     skip_unsupervised: bool = False
 
+    def validate(self) -> None:
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if not 0.0 < self.labeled_fraction <= 1.0:
+            raise ValueError(f"labeled_fraction must lie in (0, 1], "
+                             f"got {self.labeled_fraction}")
+        for name in ("lr_g", "lr_m_classify", "lr_m_contrast"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("pretrain_epochs", "contrast_epochs", "classify_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 @dataclass
 class IterationResult:
@@ -57,9 +72,15 @@ class IterationResult:
     contrast_losses: list
 
 
-def _labeled_clips(audited: AuditedDataset, vids, with_labels: bool) -> list[ContrastClip]:
-    return [ContrastClip(vid=v, features=audited.features(v),
-                         labels=audited.labels(v) if with_labels else None,
+def _contrast_train_config(icc_cfg: ICCConfig, epochs: int) -> ContrastTrainConfig:
+    """The backbone's contrastive schedule, for pretraining and contrast steps."""
+    return ContrastTrainConfig(lr=icc_cfg.lr_m_contrast, weight_decay=icc_cfg.weight_decay,
+                               epochs=epochs, batch_size=icc_cfg.batch_size)
+
+
+def _clips(audited: AuditedDataset, vids, labels) -> list[ContrastClip]:
+    """The clips of ``vids``; ``labels(vid)`` gives frame labels or None."""
+    return [ContrastClip(vid=v, features=audited.features(v), labels=labels(v),
                          activity=audited.activity(v)) for v in vids]
 
 
@@ -71,27 +92,22 @@ def classify_step(model: Model, heads: ProjectionHeads, audited: AuditedDataset,
     heads plus the label-driven contrastive term; two optimizers so the
     heads move fast while the backbone barely drifts."""
     rng = substream(seed, f"classify-{iteration}")
-    clips = _labeled_clips(audited, labeled_ids, with_labels=True)
+    clips = _clips(audited, labeled_ids, audited.labels)
     opt_g = Adam(heads.parameters(), lr=icc_cfg.lr_g, weight_decay=icc_cfg.weight_decay)
     opt_m = Adam(model.backbone_parameters(), lr=icc_cfg.lr_m_classify,
                  weight_decay=icc_cfg.weight_decay)
-    alpha = EnsembleWeights.uniform(model.cfg.depth)
     ce_cfg = replace(loss_cfg, transition=icc_cfg.classify_transition)
 
     def batch_loss(batch):
-        feats, samples, frame_labels, loss = [], [], [], None
+        views, loss = [], None
         for clip in batch:
             v, y = pooled_clip(clip.features, clip.labels, augment_cfg, rng, model.cfg.depth)
             outputs = model.forward(v, train=True, heads=heads)
-            term = joint_loss(c2f_ensemble(outputs, alpha), y, ce_cfg)
+            term = joint_loss(c2f_ensemble(outputs), y, ce_cfg)
             loss = term if loss is None else ad.add(loss, term)
-            feats.append(multires_feature(outputs, v.shape[0], mode="linear"))
-            sf = sample_frames(v.shape[0], contrast_cfg, rng)
-            samples.append(sf)
-            frame_labels.append(np.asarray(y)[sf.frames])
+            views.append(sampled_view(outputs, v.shape[0], y, contrast_cfg, rng))
         loss = ad.add(ad.mul(loss, 1.0 / len(batch)),
-                      contrastive_loss(feats, samples, frame_labels,
-                                       [c.activity for c in batch], contrast_cfg))
+                      contrastive_loss(*zip(*views), [c.activity for c in batch], contrast_cfg))
         return loss, float(loss.data)
 
     history = fit(clips, [opt_g, opt_m], icc_cfg.classify_epochs, icc_cfg.batch_size,
@@ -111,16 +127,10 @@ def contrast_step(model: Model, audited: AuditedDataset, split: SplitSpec,
                   contrast_cfg: ContrastConfig, seed: int, iteration: int) -> list[float]:
     """Contrastive pass over every training clip: ground truth on the
     labeled pool, pseudo-labels elsewhere.  No classifier is involved."""
-    clips = _labeled_clips(audited, split.labeled, with_labels=True)
-    clips += [ContrastClip(vid=v, features=audited.features(v),
-                           labels=np.asarray(pseudo[v]), activity=audited.activity(v))
-              for v in split.unlabeled]
-    clips.sort(key=lambda c: c.vid)
-    train_cfg = ContrastTrainConfig(lr=icc_cfg.lr_m_contrast,
-                                    weight_decay=icc_cfg.weight_decay,
-                                    epochs=icc_cfg.contrast_epochs,
-                                    batch_size=icc_cfg.batch_size)
-    return run_contrast_training(model, clips, contrast_cfg, augment_cfg, train_cfg,
+    clips = _clips(audited, sorted(split.labeled + split.unlabeled),
+                   lambda v: audited.labels(v) if v in split.labeled else np.asarray(pseudo[v]))
+    return run_contrast_training(model, clips, contrast_cfg, augment_cfg,
+                                 _contrast_train_config(icc_cfg, icc_cfg.contrast_epochs),
                                  seed, stream=f"contrast-{iteration}")
 
 
@@ -136,14 +146,10 @@ def run_icc(model: Model, audited: AuditedDataset, split: SplitSpec,
         if iteration == 1:
             contrast_losses = []
             if not icc_cfg.skip_unsupervised and icc_cfg.pretrain_epochs > 0:
-                clips = _labeled_clips(audited, all_train, with_labels=False)
-                train_cfg = ContrastTrainConfig(lr=icc_cfg.lr_m_contrast,
-                                                weight_decay=icc_cfg.weight_decay,
-                                                epochs=icc_cfg.pretrain_epochs,
-                                                batch_size=icc_cfg.batch_size)
-                contrast_losses = run_contrast_training(model, clips, contrast_cfg,
-                                                        augment_cfg, train_cfg, seed,
-                                                        stream="pretrain")
+                contrast_losses = pretrain_unsupervised(
+                    model, _clips(audited, all_train, lambda v: None),
+                    contrast_cfg, augment_cfg,
+                    _contrast_train_config(icc_cfg, icc_cfg.pretrain_epochs), seed)
         else:
             pseudo = {v: pseudo_label(model, heads, audited.features(v), augment_cfg)
                       for v in split.unlabeled}

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .augment import AugmentConfig, pool_features, stable_window
+from .augment import AugmentConfig, pool_features, stable_window, tta_predict
 from .metrics import SegReport, calibration, wrong_prediction_entropy
 from .model import Model, ProjectionHeads
 from .seeding import substream
@@ -32,7 +32,6 @@ def predict_probs_window(model: Model, v: np.ndarray, w: int,
     t = v.shape[0]
     pooled = pool_features(v, w) if w > 1 else v
     outputs = model.forward(pooled, train=False, heads=heads)
-    alpha = EnsembleWeights.uniform(model.cfg.depth) if alpha is None else alpha
     return _full_length_probs(model, c2f_ensemble(outputs, alpha), t)
 
 
@@ -46,8 +45,6 @@ def predict_probs(model: Model, v: np.ndarray, augment_cfg: AugmentConfig,
     if not tta:
         w = stable_window(augment_cfg.w0, np.asarray(v).shape[0], model.cfg.depth)
         return predict_probs_window(model, v, w, alpha=alpha, heads=heads)
-    from .augment import tta_predict
-
     if rng is None:
         rng = substream(0, "tta")
     return tta_predict(model, v, augment_cfg, rng, alpha=alpha, heads=heads)
@@ -78,13 +75,9 @@ def evaluate_clips(model: Model, clips: list, augment_cfg: AugmentConfig,
 
 
 def calibration_for(model: Model, clips: list, augment_cfg: AugmentConfig,
-                    num_bins: int = 15, tta: bool = False,
-                    rng: np.random.Generator | None = None,
-                    alpha: EnsembleWeights | None = None,
-                    heads: ProjectionHeads | None = None):
+                    num_bins: int = 15):
     """Pooled calibration report plus wrong-prediction entropies."""
-    preds = predictions_for(model, clips, augment_cfg, tta=tta, rng=rng,
-                            alpha=alpha, heads=heads)
+    preds = predictions_for(model, clips, augment_cfg)
     probs = np.concatenate([p for _, p, _ in preds], axis=0)
     gt = np.concatenate([g for _, _, g in preds])
     report = calibration(probs, gt, num_bins=num_bins)

@@ -45,9 +45,10 @@ class EnsembleWeights:
         return np.asarray(self.alpha)
 
 
-def c2f_ensemble(outputs: DecoderOutputs, weights: EnsembleWeights) -> Tensor:
-    """Weighted sum of the per-stage probability matrices -> [t_in, C]."""
-    a = weights.as_array()
+def c2f_ensemble(outputs: DecoderOutputs, weights: EnsembleWeights | None = None) -> Tensor:
+    """Weighted sum of the per-stage probability matrices -> [t_in, C];
+    uniform over the stages unless ``weights`` are given."""
+    a = (EnsembleWeights.uniform(len(outputs.p)) if weights is None else weights).as_array()
     if a.size != len(outputs.p):
         raise ValueError("one weight per decoder stage required")
     acc = None
@@ -121,13 +122,17 @@ def joint_loss(p: Tensor, y: np.ndarray, cfg: LossConfig = LossConfig()) -> Tens
 
 def activity_loss(p_v: Tensor, activity: int) -> Tensor:
     """Negative log-probability of the video-level activity."""
-    c = p_v.data.size
-    if not 0 <= activity < c:
-        raise ValueError(f"activity id {activity} out of range for {c}")
-    onehot = np.zeros(c)
-    onehot[activity] = 1.0
-    picked = ad.reduce_sum(ad.mul(ad.log(ad.clamp_min(p_v, PROB_FLOOR)), Tensor(onehot)))
-    return ad.neg(picked)
+    return cross_entropy(ad.reshape(p_v, (1, -1)), np.array([activity]))
+
+
+def check_schedule(lr: float, epochs: int, batch_size: int = 1) -> None:
+    """The checks every training schedule shares."""
+    if not lr > 0.0:
+        raise ValueError(f"lr must be positive, got {lr}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
 
 @dataclass
@@ -138,6 +143,9 @@ class TrainConfig:
     batch_size: int = 8
     loss_per_layer: bool = False     # attach the loss to every stage, not just the mix
     activity_weight: float = 0.0     # optional video-level auxiliary term
+
+    def validate(self) -> None:
+        check_schedule(self.lr, self.epochs, self.batch_size)
 
 
 @dataclass
@@ -190,8 +198,8 @@ def fit(items: list, optimizers: list, epochs: int, batch_size: int,
 
 
 def train_supervised(model: Model, videos: list, augment_cfg: AugmentConfig,
-                     loss_cfg: LossConfig, train_cfg: TrainConfig, seed: int,
-                     heads=None) -> list[TraceRow]:
+                     loss_cfg: LossConfig, train_cfg: TrainConfig,
+                     seed: int) -> list[TraceRow]:
     """Train on a list of VideoSample clips; returns the per-epoch loss trace.
 
     Every clip in a batch is optionally downsampled with its own freshly
@@ -199,17 +207,14 @@ def train_supervised(model: Model, videos: list, augment_cfg: AugmentConfig,
     in one optimizer step.
     """
     rng = substream(seed, "sampler")
-    head_obj = model.heads if heads is None else heads
-    opt = Adam(model.backbone_parameters() + head_obj.parameters(),
-               lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
-    alpha = EnsembleWeights.uniform(model.cfg.depth)
+    opt = Adam(model.parameters(), lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
 
     def batch_loss(batch):
         total, records = None, []
         for clip in batch:
             v, y = pooled_clip(clip.features, clip.labels, augment_cfg, rng, model.cfg.depth)
-            outputs = model.forward(v, train=True, heads=head_obj)
-            loss, ce, tr = joint_terms(c2f_ensemble(outputs, alpha), y, loss_cfg)
+            outputs = model.forward(v, train=True)
+            loss, ce, tr = joint_terms(c2f_ensemble(outputs), y, loss_cfg)
             if train_cfg.loss_per_layer:
                 for p_u in outputs.p:
                     loss = ad.add(loss, ad.mul(joint_loss(p_u, y, loss_cfg),

@@ -55,7 +55,7 @@ def window_probabilities(cfg: AugmentConfig) -> np.ndarray:
 
 def frame_contrast_probabilities(rows: np.ndarray, sets: PosNegSets,
                                  tau: float) -> list[np.ndarray]:
-    """p_ij for each anchor's positives, one anchor at a time."""
+    """p_ij for each anchor's positives, one anchor (mask row) at a time."""
     rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     sim = rows @ rows.T
     e = np.exp(sim / tau)

@@ -272,6 +272,46 @@ def test_config_refuses_keys_the_command_does_not_read(data_dir, tmp_path, capsy
         _READS[command])
 
 
+_BAD_SCHEDULES = [
+    (["icc", "--labeled-frac", "0"], "labeled_fraction must lie in (0, 1], got 0.0"),
+    (["icc", "--iterations", "0"], "iterations must be >= 1, got 0"),
+    (["icc", "--lr-g", "0"], "lr_g must be positive, got 0.0"),
+    (["icc", "--classify-epochs", "-1"], "classify_epochs must be >= 0, got -1"),
+    (["train", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
+    (["train", "--lr", "0"], "lr must be positive, got 0.0"),
+    (["train", "--epochs", "-1"], "epochs must be >= 0, got -1"),
+    (["pretrain", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
+    (["linear-eval", "--lr", "-1"], "lr must be positive, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _BAD_SCHEDULES,
+                         ids=[" ".join(argv) for argv, _ in _BAD_SCHEDULES])
+def test_invalid_schedule_is_one_usage_line(data_dir, tmp_path, capsys, stop_after_check,
+                                            argv, message):
+    assert main(_argv(argv[0], data_dir, tmp_path) + argv[1:]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error[2] {message}"]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--out"), ("train", "--trace-out"), ("pretrain", "--out"),
+    ("eval", "--report"), ("linear-eval", "--report"), ("calibrate", "--out"),
+    ("calibrate", "--entropy-out"), ("activity-train", "--out"),
+    ("activity-eval", "--report"),
+])
+def test_missing_output_directory_exits_before_loading_data(
+        data_dir, tmp_path, capsys, monkeypatch, stop_after_check, command, flag):
+    class NoData:
+        @staticmethod
+        def load(path):
+            raise _Reached
+    monkeypatch.setattr(cli, "Dataset", NoData)
+    missing = tmp_path / "absent" / "file"
+    assert main(_argv(command, data_dir, tmp_path) + [flag, str(missing)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error[2] cannot write {missing}: no directory {missing.parent}"]
+
+
 def test_train_checkpoint_bytes_deterministic(data_dir, tmp_path):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     for out in (a, b):

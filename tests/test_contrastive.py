@@ -206,9 +206,10 @@ def assert_sets_match_oracle(cfg, samples, labels, activities, use_video_level):
     got = build_sets(samples, labels, activities, cfg.delta, use_video_level)
     want_pos, want_neg = oracle_sets(samples, labels, activities, cfg.delta,
                                      use_video_level)
+    assert got.pos.shape == got.neg.shape == (len(want_pos), len(want_pos))
     for a in range(len(want_pos)):
-        assert got.pos[a].tolist() == want_pos[a]
-        assert got.neg[a].tolist() == want_neg[a]
+        assert np.flatnonzero(got.pos[a]).tolist() == want_pos[a]
+        assert np.flatnonzero(got.neg[a]).tolist() == want_neg[a]
 
 
 def test_build_sets_matches_oracle_200_batches():
@@ -223,25 +224,26 @@ def test_build_sets_hand_cases():
     # same cluster, dt=0.01 < delta=0.03, same activity -> positive
     s = build_sets([mk(0.50), mk(0.51)], [np.array([4]), np.array([4])],
                    [1, 1], delta=0.03)
-    assert s.pos[0].tolist() == [1] and s.neg[0].tolist() == []
+    assert np.flatnonzero(s.pos[0]).tolist() == [1]
+    assert np.flatnonzero(s.neg[0]).tolist() == []
     # different activities -> negative regardless of cluster or distance
     s = build_sets([mk(0.50), mk(0.51)], [np.array([4]), np.array([4])],
                    [1, 2], delta=0.03)
-    assert s.pos[0].tolist() == [] and s.neg[0].tolist() == [1]
+    assert np.flatnonzero(s.pos[0]).tolist() == []
+    assert np.flatnonzero(s.neg[0]).tolist() == [1]
     # same cluster but dt=0.1 > delta -> neither set
     s = build_sets([mk(0.45), mk(0.55)], [np.array([4]), np.array([4])],
                    [1, 1], delta=0.03)
-    assert s.pos[0].tolist() == [] and s.neg[0].tolist() == []
+    assert np.flatnonzero(s.pos[0]).tolist() == []
+    assert np.flatnonzero(s.neg[0]).tolist() == []
 
 
 def test_build_sets_disjoint_and_anchor_free():
     rng = np.random.default_rng(12)
     cfg, samples, labels, acts = random_batch(rng, clips=4, k=4)
     s = build_sets(samples, labels, acts, cfg.delta)
-    for a in range(len(s.pos)):
-        p, n = set(s.pos[a].tolist()), set(s.neg[a].tolist())
-        assert not p & n
-        assert a not in p | n
+    assert not (s.pos & s.neg).any()
+    assert not np.diagonal(s.pos | s.neg).any()
 
 
 def test_build_sets_cross_activity_always_negative():
@@ -249,9 +251,9 @@ def test_build_sets_cross_activity_always_negative():
     cfg, samples, labels, _ = random_batch(rng, clips=3, k=3)
     acts = [0, 1, 2]
     s = build_sets(samples, labels, acts, cfg.delta)
-    for a in range(len(s.pos)):
-        others = np.flatnonzero(s.clip_of != s.clip_of[a])
-        assert set(others.tolist()) <= set(s.neg[a].tolist())
+    clip_of = np.repeat(np.arange(len(samples)), [len(sf.times) for sf in samples])
+    cross = clip_of[:, None] != clip_of[None, :]
+    assert s.neg[cross].all()
 
 
 def test_total_positive_pairs_counter():
@@ -267,17 +269,15 @@ def test_total_positive_pairs_counter():
 
 def test_contrast_probability_empty_negatives_is_one():
     rows = np.random.default_rng(14).normal(size=(2, 5))
-    sets = PosNegSets(pos=[np.array([1]), np.array([0])],
-                      neg=[np.array([], dtype=int)] * 2,
-                      clip_of=np.zeros(2, dtype=int))
+    sets = PosNegSets(pos=~np.eye(2, dtype=bool), neg=np.zeros((2, 2), dtype=bool))
     probs = frame_contrast_probabilities(rows, sets, tau=0.1)
     assert probs[0][0] == pytest.approx(1.0)
 
 
 def test_contrast_probability_identical_rows_half():
     rows = np.tile(np.random.default_rng(15).normal(size=(1, 4)), (3, 1))
-    sets = PosNegSets(pos=[np.array([1])], neg=[np.array([2])],
-                      clip_of=np.zeros(3, dtype=int))
+    sets = PosNegSets(pos=np.array([[False, True, False]]),
+                      neg=np.array([[False, False, True]]))
     probs = frame_contrast_probabilities(rows[:3], sets, tau=0.1)
     # exp(1/tau) / (exp(1/tau) + exp(1/tau))
     assert probs[0][0] == pytest.approx(0.5, abs=1e-12)

@@ -417,21 +417,21 @@ def test_model_state_missing_tensor_names_it(tmp_path):
     state = model_state(model)
     del state["dec1.conv1.b"]
     with pytest.raises(DataFormatError, match="dec1.conv1.b"):
-        load_into(tiny_model(seed=6), tiny_model(seed=6).heads, state)
+        load_into(tiny_model(seed=6), state)
 
 
 def test_model_state_rejects_unknown_tensor():
     state = model_state(tiny_model())
     state["mystery"] = np.zeros(3)
     with pytest.raises(DataFormatError, match="mystery"):
-        load_into(tiny_model(seed=6), tiny_model(seed=6).heads, state)
+        load_into(tiny_model(seed=6), state)
 
 
 def test_model_state_rejects_shape_mismatch():
     state = model_state(tiny_model())
     state["enc0.conv1.w"] = np.zeros((2, 2, 2))
     with pytest.raises(DataFormatError, match="shape"):
-        load_into(tiny_model(seed=6), tiny_model(seed=6).heads, state)
+        load_into(tiny_model(seed=6), state)
 
 
 @pytest.mark.parametrize("name", ["enc0.bn1.running_mean", "dec2.bn2.running_var"])

@@ -415,7 +415,7 @@ def test_gradient_check_activity_head():
 
     def loss_fn():
         out = m.forward(v, train=False)
-        return ad.neg(ad.log(ad.slice_axis(ad.reshape(out.p_activity, (1, -1)), 1, 1, 2)))
+        return ad.mul(ad.log(ad.slice_axis(ad.reshape(out.p_activity, (1, -1)), 1, 1, 2)), -1.0)
 
     with Tape() as tape:
         loss = ad.reduce_sum(loss_fn())

@@ -10,8 +10,7 @@ from c2fseg import autodiff as ad
 from c2fseg.autodiff import Tape, Tensor
 from c2fseg.augment import AugmentConfig
 from c2fseg.data import VideoSample
-from c2fseg.model import DecoderOutputs, ModelConfig, ProjectionHeads, build_model
-from c2fseg.seeding import substream
+from c2fseg.model import DecoderOutputs, ModelConfig, build_model
 from c2fseg.supervised import (
     EnsembleWeights,
     LossConfig,
@@ -312,11 +311,9 @@ def toy_model(seed=0, c=3, f=4, activities=0):
     return build_model(cfg, seed=seed)
 
 
-def short_train(model, clips, seed=1, heads=None, **kw):
+def short_train(model, clips, seed=1, **kw):
     tc = TrainConfig(lr=3e-3, weight_decay=1e-4, epochs=8, batch_size=3, **kw)
-    return train_supervised(
-        model, clips, AugmentConfig(w0=2), LossConfig(), tc, seed=seed, heads=heads
-    )
+    return train_supervised(model, clips, AugmentConfig(w0=2), LossConfig(), tc, seed=seed)
 
 
 def test_training_decreases_loss():
@@ -374,20 +371,6 @@ def test_training_is_deterministic():
 def test_training_empty_dataset_raises():
     with pytest.raises(ValueError):
         short_train(toy_model(), [])
-
-
-def test_training_with_external_heads_leaves_model_heads_untouched():
-    rng = np.random.default_rng(13)
-    clips = toy_dataset(rng)
-    model = toy_model(seed=3)
-    spare = ProjectionHeads(model.cfg, substream(77, "heads"))
-    before_model = [w.data.copy() for w in model.heads.parameters()]
-    before_spare = [w.data.copy() for w in spare.parameters()]
-    short_train(model, clips, heads=spare)
-    after_model = [w.data for w in model.heads.parameters()]
-    after_spare = [w.data for w in spare.parameters()]
-    assert all(np.array_equal(a, b) for a, b in zip(before_model, after_model))
-    assert any(not np.array_equal(a, b) for a, b in zip(before_spare, after_spare))
 
 
 def test_per_layer_loss_path_trains():
