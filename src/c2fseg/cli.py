@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Subcommands: gen-synth, train, pretrain, icc, eval, linear-eval,
-calibrate, activity.  Every command takes ``--seed`` (one seed, fanned
-into named sub-streams internally) and ``--config cfg.json`` whose keys
-mirror the flag names (underscored); explicit flags override the file.
-A key the command never reads from the file (a typo, a path flag such
-as ``data``, a setting of another command) is a usage error.
+calibrate, activity.  ``_SETTINGS`` declares each command's settings once,
+as key -> (type, default).  Each is a key of ``--config cfg.json`` and,
+except the tuple-valued ``encoder_channels``, ``decoder_channels`` and
+``tpp_windows``, the flag ``--key`` (dashes for underscores); a given flag
+wins over the file.  A key or flag the command does not take is a usage
+error, raised before any data is loaded.  Only gen-synth, train, pretrain,
+icc, eval and activity train take ``--seed`` (one seed, fanned into named
+sub-streams).
 
 Exit codes: 0 success, 2 usage, 3 data/format, 4 numerical failure.
 """
@@ -32,34 +35,101 @@ from .metrics import entropy_histogram_csv
 from .model import ModelConfig, build_model
 from .profiles import PROFILES
 from .seeding import substream
-from .supervised import LossConfig, TrainConfig, activity_loss, fit, train_supervised
+from .supervised import (LossConfig, TrainConfig, activity_loss, check_schedule, fit,
+                         train_supervised)
 from . import autodiff as ad
 from .optim import Adam
 
 _SYNTH = PROFILES["synthetic"]
 
-class _Config(dict):
-    """The --config object.  It records every key a command asks for, so
-    ``check`` can refuse the keys that command never reads."""
+# Each command's settings, key -> (type, default): the one declaration that
+# both build_parser and _settings read.  Shared groups first.
+_SEED = {"seed": (int, 7)}
+_MODEL = {
+    "depth": (int, ModelConfig.depth),
+    "kernel": (int, ModelConfig.kernel),
+    "encoder_channels": (tuple, _SYNTH["encoder_channels"]),
+    "decoder_channels": (tuple, _SYNTH["decoder_channels"]),
+    "tpp_windows": (tuple, ModelConfig.tpp_windows),
+    "upsample_mode": (str, ModelConfig.upsample_mode),
+    "no_skip": (bool, False),
+    "activity_hidden": (int, _SYNTH["activity_hidden"]),
+}
+_AUGMENT = {"no_augment": (bool, False), "w0": (int, _SYNTH["w0"]),
+            "pi0": (float, _SYNTH["pi0"])}
+_CONTRAST = {
+    "K": (int, _SYNTH["K"]),
+    "epsilon": (float, ContrastConfig.epsilon),
+    "delta": (float, _SYNTH["delta"]),
+    "tau": (float, ContrastConfig.tau),
+    "clusters": (int, None),  # None: twice the number of classes
+    "no_video_level": (bool, False),
+}
 
-    def __init__(self, payload=()):
-        super().__init__(payload)
-        self.asked: set[str] = set()
 
-    def get(self, name, default=None):
-        self.asked.add(name)
-        return super().get(name, default)
-
-    def check(self, command: str) -> None:
-        """Call once the command has read all its settings."""
-        unknown = sorted(set(self) - self.asked)
-        if unknown:
-            raise UsageError(f"unknown config key(s) for {command}: {', '.join(unknown)}")
+def _schedule(**defaults) -> dict:
+    kinds = {"lr": float, "wd": float, "epochs": int, "batch_size": int}
+    return {key: (kinds[key], value) for key, value in defaults.items()}
 
 
-def _load_config(path: str | None) -> _Config:
+_GEN = SyntheticConfig
+_SETTINGS: dict[str, dict[str, tuple]] = {
+    "gen-synth": {
+        "videos": (int, _GEN.num_videos), "actions": (int, _GEN.num_actions),
+        "activities": (int, _GEN.num_activities), "feat_dim": (int, _GEN.feat_dim),
+        "len_min": (int, _GEN.len_range[0]), "len_max": (int, _GEN.len_range[1]),
+        "segments_min": (int, _GEN.segments_range[0]),
+        "segments_max": (int, _GEN.segments_range[1]),
+        "min_segment": (int, _GEN.min_segment_len),
+        "sigma_between": (float, _GEN.sigma_between),
+        "sigma_within": (float, _GEN.sigma_within), "frame_noise": (float, _GEN.frame_noise),
+        "smooth_radius": (int, _GEN.smooth_radius), "label_noise": (float, _GEN.label_noise),
+        "test_fraction": (float, _GEN.test_fraction), "seed": (int, _GEN.seed),
+    },
+    "train": {
+        **_SEED, **_MODEL, **_AUGMENT,
+        **_schedule(lr=_SYNTH["lr"], wd=_SYNTH["weight_decay"], epochs=_SYNTH["epochs"],
+                    batch_size=_SYNTH["batch_size"]),
+        "lambda_tr": (float, LossConfig.lambda_tr), "eps_max": (float, LossConfig.eps_max),
+        "no_transition": (bool, False),
+        "loss_per_layer": (bool, TrainConfig.loss_per_layer),
+    },
+    "pretrain": {
+        **_SEED, **_MODEL, **_AUGMENT, "pi0": (float, _SYNTH["contrast_pi0"]), **_CONTRAST,
+        **_schedule(lr=_SYNTH["contrast_lr"], wd=ContrastTrainConfig.weight_decay,
+                    epochs=_SYNTH["contrast_epochs"], batch_size=_SYNTH["batch_size"]),
+    },
+    "icc": {
+        **_SEED, **_MODEL, **_AUGMENT, **_CONTRAST,
+        **_schedule(wd=ICCConfig.weight_decay, batch_size=_SYNTH["batch_size"]),
+        "iterations": (int, ICCConfig.iterations),
+        "labeled_frac": (float, ICCConfig.labeled_fraction),
+        "lr_g": (float, ICCConfig.lr_g), "lr_m_classify": (float, ICCConfig.lr_m_classify),
+        "lr_m_contrast": (float, ICCConfig.lr_m_contrast),
+        "pretrain_epochs": (int, ICCConfig.pretrain_epochs),
+        "contrast_epochs": (int, ICCConfig.contrast_epochs),
+        "classify_epochs": (int, ICCConfig.classify_epochs),
+        "classify_transition": (bool, ICCConfig.classify_transition),
+        "skip_unsupervised": (bool, ICCConfig.skip_unsupervised),
+    },
+    "eval": {**_SEED, **_AUGMENT, "tta_samples": (int, AugmentConfig.tta_samples),
+             "per_video_f1": (bool, False)},
+    "linear-eval": _schedule(lr=LinearEvalConfig.lr, epochs=LinearEvalConfig.epochs),
+    "calibrate": dict(_AUGMENT),
+    "activity-train": {**_SEED, **_MODEL,
+                       **_schedule(lr=1e-3, epochs=30, batch_size=_SYNTH["batch_size"])},
+    "activity-eval": {},
+}
+_SETTING_KEYS = set().union(*_SETTINGS.values())
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _load_config(path: str | None) -> dict:
     if not path:
-        return _Config()
+        return {}
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
@@ -68,22 +138,36 @@ def _load_config(path: str | None) -> _Config:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise UsageError("config file must hold a JSON object")
-    return _Config(payload)
+    return payload
 
 
-def _opt(args, config: _Config, name: str, default):
-    """Flag if given, else config-file key, else the built-in default."""
-    value = getattr(args, name, None)
-    fallback = config.get(name, default)
-    return fallback if value is None else value
+def _settings(args, command: str) -> argparse.Namespace:
+    """Every setting of ``command``: the flag if given, else the --config
+    key, else the default.  Refuses the config keys and given flags the
+    command does not take.  ``main`` calls it before the command runs."""
+    table = _SETTINGS[command]
+    config = _load_config(args.config)
+    flags = {key: value for key, value in vars(args).items()
+             if key in _SETTING_KEYS and value is not None}
+    unknown = sorted(set(config) - set(table))
+    if unknown:
+        raise UsageError(f"unknown config key(s) for {command}: {', '.join(unknown)}")
+    unknown = sorted(_flag(key) for key in set(flags) - set(table))
+    if unknown:
+        raise UsageError(f"unknown flag(s) for {command}: {', '.join(unknown)}")
+    values = {}
+    for key, (kind, default) in table.items():
+        value = flags.get(key, config.get(key, default))
+        values[key] = value if value is None else kind(value)
+    return argparse.Namespace(**values)
 
 
-def _validated(*cfgs) -> None:
-    """Check the built configs before any work starts; a bad value is a
-    usage error, not a traceback."""
-    for cfg in cfgs:
+def _validated(*checks) -> None:
+    """Run each check before any work starts; a bad value is a usage
+    error, not a traceback."""
+    for check in checks:
         try:
-            cfg.validate()
+            check()
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -101,105 +185,61 @@ def _write_json(path, payload: dict) -> None:
                           encoding="utf-8")
 
 
-def _model_config_for(dataset: Dataset, args, config: _Config) -> ModelConfig:
-    depth = int(_opt(args, config, "depth", 6))
-    enc = list(config.get("encoder_channels", _SYNTH["encoder_channels"]))
-    dec = list(config.get("decoder_channels", _SYNTH["decoder_channels"]))
+def _model_config_for(dataset: Dataset, s) -> ModelConfig:
     # resize channel plans when a non-default depth is requested
-    enc = (enc + [enc[-1]] * depth)[:depth + 1]
-    dec = (dec + [dec[-1]] * depth)[:depth]
+    enc, dec = s.encoder_channels, s.decoder_channels
     return ModelConfig(
-        input_dim=dataset.feat_dim,
-        num_classes=dataset.num_classes,
-        num_activities=dataset.num_activities,
-        kernel=int(_opt(args, config, "kernel", 5)),
-        depth=depth,
-        encoder_channels=tuple(enc),
-        decoder_channels=tuple(dec),
-        tpp_windows=tuple(config.get("tpp_windows", (2, 3, 5, 6))),
-        upsample_mode=config.get("upsample_mode", "linear"),
-        skip_connections=not bool(_opt(args, config, "no_skip", False)),
-        activity_hidden=int(config.get("activity_hidden", _SYNTH["activity_hidden"])),
+        input_dim=dataset.feat_dim, num_classes=dataset.num_classes,
+        num_activities=dataset.num_activities, kernel=s.kernel, depth=s.depth,
+        encoder_channels=(enc + enc[-1:] * s.depth)[:s.depth + 1],
+        decoder_channels=(dec + dec[-1:] * s.depth)[:s.depth],
+        tpp_windows=s.tpp_windows, upsample_mode=s.upsample_mode,
+        skip_connections=not s.no_skip, activity_hidden=s.activity_hidden,
     )
 
 
-def _augment_config_for(args, config: _Config,
-                        default_pi0: float | None = None) -> AugmentConfig:
-    return AugmentConfig(
-        enabled=not bool(_opt(args, config, "no_augment", False)),
-        w0=int(_opt(args, config, "w0", _SYNTH["w0"])),
-        pi0=float(_opt(args, config, "pi0",
-                       _SYNTH["pi0"] if default_pi0 is None else default_pi0)),
-    )
+def _augment_config_for(s) -> AugmentConfig:
+    return AugmentConfig(enabled=not s.no_augment, w0=s.w0, pi0=s.pi0)
 
 
-def _contrast_config_for(args, config: _Config, num_classes: int) -> ContrastConfig:
+def _contrast_config_for(s, num_classes: int) -> ContrastConfig:
     return ContrastConfig(
-        K=int(_opt(args, config, "K", _SYNTH["K"])),
-        epsilon=config.get("epsilon"),
-        delta=float(_opt(args, config, "delta", _SYNTH["delta"])),
-        tau=float(_opt(args, config, "tau", 0.1)),
-        num_clusters=int(_opt(args, config, "clusters", 2 * num_classes)),
-        use_video_level=not bool(_opt(args, config, "no_video_level", False)),
-    )
+        K=s.K, epsilon=s.epsilon, delta=s.delta, tau=s.tau,
+        num_clusters=2 * num_classes if s.clusters is None else s.clusters,
+        use_video_level=not s.no_video_level)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_synth(args) -> int:
-    config = _load_config(args.config)
-    base = SyntheticConfig()
+def cmd_gen_synth(args, s) -> int:
     cfg = SyntheticConfig(
-        num_videos=int(_opt(args, config, "videos", base.num_videos)),
-        num_actions=int(_opt(args, config, "actions", base.num_actions)),
-        num_activities=int(_opt(args, config, "activities", base.num_activities)),
-        feat_dim=int(_opt(args, config, "feat_dim", base.feat_dim)),
-        len_range=(int(_opt(args, config, "len_min", base.len_range[0])),
-                   int(_opt(args, config, "len_max", base.len_range[1]))),
-        segments_range=(int(_opt(args, config, "segments_min", base.segments_range[0])),
-                        int(_opt(args, config, "segments_max", base.segments_range[1]))),
-        min_segment_len=int(_opt(args, config, "min_segment", base.min_segment_len)),
-        sigma_between=float(_opt(args, config, "sigma_between", base.sigma_between)),
-        sigma_within=float(_opt(args, config, "sigma_within", base.sigma_within)),
-        frame_noise=float(_opt(args, config, "frame_noise", base.frame_noise)),
-        smooth_radius=int(_opt(args, config, "smooth_radius", base.smooth_radius)),
-        label_noise=float(_opt(args, config, "label_noise", base.label_noise)),
-        test_fraction=float(_opt(args, config, "test_fraction", base.test_fraction)),
-        seed=int(_opt(args, config, "seed", base.seed)),
-    )
-    config.check(args.command)
-    _validated(cfg)
+        num_videos=s.videos, num_actions=s.actions, num_activities=s.activities,
+        feat_dim=s.feat_dim, len_range=(s.len_min, s.len_max),
+        segments_range=(s.segments_min, s.segments_max), min_segment_len=s.min_segment,
+        sigma_between=s.sigma_between, sigma_within=s.sigma_within,
+        frame_noise=s.frame_noise, smooth_radius=s.smooth_radius,
+        label_noise=s.label_noise, test_fraction=s.test_fraction, seed=s.seed)
+    _validated(cfg.validate)
     manifest = gen_synthetic(cfg, args.out)
     print(f"wrote {len(manifest.entries)} clips to {args.out}")
     return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, s) -> int:
     _check_outputs(args.out, args.trace_out)
-    config = _load_config(args.config)
     dataset = Dataset.load(args.data)
-    seed = int(_opt(args, config, "seed", 7))
-    model_cfg = _model_config_for(dataset, args, config)
-    augment_cfg = _augment_config_for(args, config)
-    loss_cfg = LossConfig(
-        lambda_tr=float(_opt(args, config, "lambda_tr", 0.15)),
-        eps_max=float(_opt(args, config, "eps_max", 4.0)),
-        transition=not bool(_opt(args, config, "no_transition", False)),
-    )
-    train_cfg = TrainConfig(
-        lr=float(_opt(args, config, "lr", _SYNTH["lr"])),
-        weight_decay=float(_opt(args, config, "wd", _SYNTH["weight_decay"])),
-        epochs=int(_opt(args, config, "epochs", _SYNTH["epochs"])),
-        batch_size=int(_opt(args, config, "batch_size", _SYNTH["batch_size"])),
-        loss_per_layer=bool(_opt(args, config, "loss_per_layer", False)),
-    )
-    config.check(args.command)
-    _validated(model_cfg, augment_cfg, train_cfg)
-    model = build_model(model_cfg, seed)
+    model_cfg = _model_config_for(dataset, s)
+    augment_cfg = _augment_config_for(s)
+    loss_cfg = LossConfig(lambda_tr=s.lambda_tr, eps_max=s.eps_max,
+                          transition=not s.no_transition)
+    train_cfg = TrainConfig(lr=s.lr, weight_decay=s.wd, epochs=s.epochs,
+                            batch_size=s.batch_size, loss_per_layer=s.loss_per_layer)
+    _validated(model_cfg.validate, augment_cfg.validate, train_cfg.validate)
+    model = build_model(model_cfg, s.seed)
     trace = train_supervised(model, dataset.train(), augment_cfg, loss_cfg,
-                             train_cfg, seed)
+                             train_cfg, s.seed)
     save_model(args.out, model)
     if args.trace_out:
         rows = "".join(f"{r.epoch},{r.ce:.6f},{r.tr:.6f},{r.total:.6f}\n" for r in trace)
@@ -208,61 +248,43 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_pretrain(args) -> int:
+def cmd_pretrain(args, s) -> int:
     _check_outputs(args.out)
-    config = _load_config(args.config)
     dataset = Dataset.load(args.data)
-    seed = int(_opt(args, config, "seed", 7))
-    model_cfg = _model_config_for(dataset, args, config)
-    augment_cfg = _augment_config_for(args, config,
-                                      default_pi0=_SYNTH["contrast_pi0"])
-    contrast_cfg = _contrast_config_for(args, config, dataset.num_classes)
-    train_cfg = ContrastTrainConfig(
-        lr=float(_opt(args, config, "lr", _SYNTH["contrast_lr"])),
-        weight_decay=float(_opt(args, config, "wd", 0.0)),
-        epochs=int(_opt(args, config, "epochs", _SYNTH["contrast_epochs"])),
-        batch_size=int(_opt(args, config, "batch_size", _SYNTH["batch_size"])),
-    )
-    config.check(args.command)
-    _validated(model_cfg, augment_cfg, contrast_cfg, train_cfg)
-    model = build_model(model_cfg, seed)
+    model_cfg = _model_config_for(dataset, s)
+    augment_cfg = _augment_config_for(s)
+    contrast_cfg = _contrast_config_for(s, dataset.num_classes)
+    train_cfg = ContrastTrainConfig(lr=s.lr, weight_decay=s.wd, epochs=s.epochs,
+                                    batch_size=s.batch_size)
+    _validated(model_cfg.validate, augment_cfg.validate, contrast_cfg.validate,
+               train_cfg.validate)
+    model = build_model(model_cfg, s.seed)
     losses = pretrain_unsupervised(model, dataset.train(), contrast_cfg, augment_cfg,
-                                   train_cfg, seed)
+                                   train_cfg, s.seed)
     save_model(args.out, model)
     final = f" (final loss {losses[-1]:.4f})" if losses else ""
     print(f"pretrained {train_cfg.epochs} epochs{final}; checkpoint at {args.out}")
     return 0
 
 
-def cmd_icc(args) -> int:
-    config = _load_config(args.config)
+def cmd_icc(args, s) -> int:
     dataset = Dataset.load(args.data)
-    seed = int(_opt(args, config, "seed", 7))
-    model_cfg = _model_config_for(dataset, args, config)
-    augment_cfg = _augment_config_for(args, config)
-    contrast_cfg = _contrast_config_for(args, config, dataset.num_classes)
-    loss_cfg = LossConfig()
+    model_cfg = _model_config_for(dataset, s)
+    augment_cfg = _augment_config_for(s)
+    contrast_cfg = _contrast_config_for(s, dataset.num_classes)
     icc_cfg = ICCConfig(
-        iterations=int(_opt(args, config, "iterations", 4)),
-        labeled_fraction=float(_opt(args, config, "labeled_frac", 0.1)),
-        lr_g=float(_opt(args, config, "lr_g", 1e-2)),
-        lr_m_classify=float(_opt(args, config, "lr_m_classify", 1e-5)),
-        lr_m_contrast=float(_opt(args, config, "lr_m_contrast", 1e-3)),
-        weight_decay=float(_opt(args, config, "wd", 0.0)),
-        pretrain_epochs=int(_opt(args, config, "pretrain_epochs", 30)),
-        contrast_epochs=int(_opt(args, config, "contrast_epochs", 10)),
-        classify_epochs=int(_opt(args, config, "classify_epochs", 40)),
-        batch_size=int(_opt(args, config, "batch_size", _SYNTH["batch_size"])),
-        classify_transition=bool(_opt(args, config, "classify_transition", False)),
-        skip_unsupervised=bool(_opt(args, config, "skip_unsupervised", False)),
-    )
-    config.check(args.command)
-    _validated(model_cfg, augment_cfg, contrast_cfg, icc_cfg)
-    model = build_model(model_cfg, seed)
-    audited = AuditedDataset(dataset)
-    split = make_split(dataset, icc_cfg.labeled_fraction, seed)
-    results = run_icc(model, audited, split, dataset.test(), icc_cfg, augment_cfg,
-                      contrast_cfg, loss_cfg, seed)
+        iterations=s.iterations, labeled_fraction=s.labeled_frac, lr_g=s.lr_g,
+        lr_m_classify=s.lr_m_classify, lr_m_contrast=s.lr_m_contrast,
+        weight_decay=s.wd, pretrain_epochs=s.pretrain_epochs,
+        contrast_epochs=s.contrast_epochs, classify_epochs=s.classify_epochs,
+        batch_size=s.batch_size, classify_transition=s.classify_transition,
+        skip_unsupervised=s.skip_unsupervised)
+    _validated(model_cfg.validate, augment_cfg.validate, contrast_cfg.validate,
+               icc_cfg.validate)
+    model = build_model(model_cfg, s.seed)
+    split = make_split(dataset, icc_cfg.labeled_fraction, s.seed)
+    results = run_icc(model, AuditedDataset(dataset), split, dataset.test(), icc_cfg,
+                      augment_cfg, contrast_cfg, LossConfig(), s.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for res in results:
@@ -275,41 +297,31 @@ def cmd_icc(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, s) -> int:
     _check_outputs(args.report)
-    config = _load_config(args.config)
+    augment_cfg = replace(_augment_config_for(s), tta_samples=s.tta_samples)
+    _validated(augment_cfg.validate)
     dataset = Dataset.load(args.data)
-    augment_cfg = replace(_augment_config_for(args, config),
-                          tta_samples=int(_opt(args, config, "tta_samples", 5)))
-    seed = int(_opt(args, config, "seed", 7))
-    per_video_f1 = bool(_opt(args, config, "per_video_f1", False))
-    config.check(args.command)
-    _validated(augment_cfg)
     model, heads = restore_model(args.ckpt)
     clips = dataset.split(args.split)
     if not clips:
         raise UsageError(f"split {args.split!r} has no clips")
     report = evaluate_clips(model, clips, augment_cfg, tta=bool(args.tta),
-                            rng=substream(seed, "tta"), heads=heads,
-                            per_video_f1=per_video_f1)
+                            rng=substream(s.seed, "tta"), heads=heads,
+                            per_video_f1=s.per_video_f1)
     _write_json(args.report, report.to_dict())
     print(f"{args.split}: MoF {report.mof:.2f} edit {report.edit:.2f} "
           f"F1@25 {report.f1_25:.2f}")
     return 0
 
 
-def cmd_linear_eval(args) -> int:
+def cmd_linear_eval(args, s) -> int:
     _check_outputs(args.report)
-    config = _load_config(args.config)
+    cfg = LinearEvalConfig(lr=s.lr, epochs=s.epochs)
+    _validated(cfg.validate)
     dataset = Dataset.load(args.data)
-    cfg = LinearEvalConfig(lr=float(_opt(args, config, "lr", 1e-2)),
-                           epochs=int(_opt(args, config, "epochs", 300)))
-    config.check(args.command)
-    _validated(cfg)
     raw = bool(args.raw_baseline)
-    model = None
-    if not raw:
-        model, _ = restore_model(args.ckpt)
+    model = None if raw else restore_model(args.ckpt)[0]
     report = linear_eval(model, dataset.train(), dataset.test(),
                          dataset.num_classes, raw=raw, cfg=cfg)
     _write_json(args.report, report.to_dict())
@@ -318,16 +330,16 @@ def cmd_linear_eval(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args, s) -> int:
     _check_outputs(args.out, args.entropy_out)
-    config = _load_config(args.config)
+    if args.bins < 1:
+        raise UsageError(f"bins must be >= 1, got {args.bins}")
+    augment_cfg = _augment_config_for(s)
+    _validated(augment_cfg.validate)
     dataset = Dataset.load(args.data)
-    augment_cfg = _augment_config_for(args, config)
-    config.check(args.command)
-    _validated(augment_cfg)
     model, _ = restore_model(args.ckpt)
     report, entropies = calibration_for(model, dataset.test(), augment_cfg,
-                                        num_bins=int(args.bins))
+                                        num_bins=args.bins)
     Path(args.out).write_text(report.to_csv(), encoding="utf-8")
     Path(args.entropy_out).write_text(
         entropy_histogram_csv(entropies, dataset.num_classes), encoding="utf-8")
@@ -335,21 +347,18 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_activity(args) -> int:
-    _check_outputs(args.out if args.mode == "train" else args.report)
-    config = _load_config(args.config)
+def cmd_activity(args, s) -> int:
+    train = args.mode == "train"
+    _check_outputs(args.out if train else args.report)
+    if train:
+        _validated(lambda: check_schedule(s.lr, s.epochs, s.batch_size))
     dataset = Dataset.load(args.data)
-    seed = int(_opt(args, config, "seed", 7))
     if dataset.num_activities < 2:
         raise UsageError("activity recognition needs at least two activities")
-    if args.mode == "train":
-        model_cfg = _model_config_for(dataset, args, config)
-        lr = float(_opt(args, config, "lr", 1e-3))
-        epochs = int(_opt(args, config, "epochs", 30))
-        batch = int(_opt(args, config, "batch_size", _SYNTH["batch_size"]))
-        config.check(args.command)
-        _validated(model_cfg)
-        model = build_model(model_cfg, seed)
+    if train:
+        model_cfg = _model_config_for(dataset, s)
+        _validated(model_cfg.validate)
+        model = build_model(model_cfg, s.seed)
         clips = dataset.train()
 
         def batch_loss(chunk):
@@ -360,17 +369,16 @@ def cmd_activity(args) -> int:
                 loss = term if loss is None else ad.add(loss, term)
             return ad.mul(loss, 1.0 / len(chunk)), None
 
-        fit(clips, [Adam(model.backbone_parameters(), lr=lr)], epochs, batch,
-            substream(seed, "sampler"), batch_loss)
+        fit(clips, [Adam(model.backbone_parameters(), lr=s.lr)], s.epochs, s.batch_size,
+            substream(s.seed, "sampler"), batch_loss)
         save_model(args.out, model)
     else:
-        config.check(args.command)
         model, _ = restore_model(args.ckpt)
         clips = dataset.test()
     correct = sum(int(np.argmax(model.activity_probs(
         model.encode(c.features)).data) == c.activity) for c in clips)
     accuracy = 100.0 * correct / len(clips)
-    if args.mode == "train":
+    if train:
         print(f"activity head trained; train accuracy {accuracy:.2f}; "
               f"checkpoint at {args.out}")
         return 0
@@ -384,9 +392,19 @@ def cmd_activity(args) -> int:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
-def _common(sub) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument("--config", default=None, help="JSON config mirroring the flags")
+def _add_settings(parser, *commands) -> None:
+    """One flag per non-tuple setting of ``commands``, then --config.  An
+    unset flag stays None, so ``_settings`` can tell it from a given one."""
+    table = {}
+    for command in commands:
+        table.update(_SETTINGS[command])
+    for key, (kind, _) in table.items():
+        if kind is bool:
+            parser.add_argument(_flag(key), action="store_true", default=None)
+        elif kind is not tuple:
+            parser.add_argument(_flag(key), type=kind, default=None)
+    parser.add_argument("--config", default=None,
+                        help="JSON object of settings by key; a given flag wins")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,77 +414,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gen-synth", help="generate the synthetic benchmark")
     p.add_argument("--out", required=True)
-    for flag in ("videos", "actions", "activities", "feat-dim", "len-min", "len-max",
-                 "segments-min", "segments-max", "min-segment", "smooth-radius"):
-        p.add_argument(f"--{flag}", type=int, default=None)
-    for flag in ("sigma-between", "sigma-within", "frame-noise", "label-noise",
-                 "test-fraction"):
-        p.add_argument(f"--{flag}", type=float, default=None)
-    _common(p)
+    _add_settings(p, "gen-synth")
     p.set_defaults(func=cmd_gen_synth)
 
     p = subs.add_parser("train", help="fully supervised training")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trace-out", default=None, help="per-epoch loss CSV")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--wd", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--w0", type=int, default=None)
-    p.add_argument("--pi0", type=float, default=None)
-    p.add_argument("--kernel", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--lambda-tr", type=float, default=None)
-    p.add_argument("--eps-max", type=float, default=None)
-    p.add_argument("--no-augment", action="store_true", default=None)
-    p.add_argument("--no-transition", action="store_true", default=None)
-    p.add_argument("--loss-per-layer", action="store_true", default=None)
-    p.add_argument("--no-skip", action="store_true", default=None)
-    _common(p)
+    _add_settings(p, "train")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("pretrain", help="unsupervised contrastive pretraining")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--wd", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--w0", type=int, default=None)
-    p.add_argument("--pi0", type=float, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--clusters", type=int, default=None)
-    p.add_argument("--no-video-level", action="store_true", default=None)
-    p.add_argument("--no-augment", action="store_true", default=None)
-    _common(p)
+    _add_settings(p, "pretrain")
     p.set_defaults(func=cmd_pretrain)
 
     p = subs.add_parser("icc", help="iterate contrast and classify steps")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="directory for per-iteration reports")
-    p.add_argument("--labeled-frac", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--pretrain-epochs", type=int, default=None)
-    p.add_argument("--contrast-epochs", type=int, default=None)
-    p.add_argument("--classify-epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr-g", type=float, default=None)
-    p.add_argument("--lr-m-classify", type=float, default=None)
-    p.add_argument("--lr-m-contrast", type=float, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--clusters", type=int, default=None)
-    p.add_argument("--w0", type=int, default=None)
-    p.add_argument("--pi0", type=float, default=None)
-    p.add_argument("--skip-unsupervised", action="store_true", default=None)
-    p.add_argument("--classify-transition", action="store_true", default=None)
-    p.add_argument("--no-video-level", action="store_true", default=None)
-    p.add_argument("--no-augment", action="store_true", default=None)
-    _common(p)
+    _add_settings(p, "icc")
     p.set_defaults(func=cmd_icc)
 
     p = subs.add_parser("eval", help="score a checkpoint on a split")
@@ -475,11 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test")
     p.add_argument("--report", required=True)
     p.add_argument("--tta", action="store_true", default=None)
-    p.add_argument("--w0", type=int, default=None)
-    p.add_argument("--pi0", type=float, default=None)
-    p.add_argument("--tta-samples", type=int, default=None)
-    p.add_argument("--no-augment", action="store_true", default=None)
-    _common(p)
+    _add_settings(p, "eval")
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("linear-eval", help="linear probe of frame representations")
@@ -488,9 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.add_argument("--raw-baseline", action="store_true", default=None,
                    help="probe the raw input features (checkpoint is ignored)")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    _common(p)
+    _add_settings(p, "linear-eval")
     p.set_defaults(func=cmd_linear_eval)
 
     p = subs.add_parser("calibrate", help="confidence calibration of a checkpoint")
@@ -499,10 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=15)
     p.add_argument("--out", required=True, help="calibration CSV")
     p.add_argument("--entropy-out", required=True, help="wrong-prediction entropy CSV")
-    p.add_argument("--w0", type=int, default=None)
-    p.add_argument("--pi0", type=float, default=None)
-    p.add_argument("--no-augment", action="store_true", default=None)
-    _common(p)
+    _add_settings(p, "calibrate")
     p.set_defaults(func=cmd_calibrate)
 
     p = subs.add_parser("activity", help="video-level activity recognition")
@@ -511,10 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", default=None, help="checkpoint to evaluate")
     p.add_argument("--out", default=None, help="checkpoint to write after training")
     p.add_argument("--report", default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    _common(p)
+    _add_settings(p, "activity-train", "activity-eval")
     p.set_defaults(func=cmd_activity)
     return parser
 
@@ -527,8 +482,9 @@ def main(argv=None) -> int:
             parser.error("activity train requires --out")
         if args.mode == "eval" and not args.ckpt:
             parser.error("activity eval requires --ckpt")
+    command = f"activity-{args.mode}" if args.command == "activity" else args.command
     try:
-        return args.func(args)
+        return args.func(args, _settings(args, command))
     except UsageError as exc:
         sys.stderr.write(f"error[2] {exc}\n")
         return 2

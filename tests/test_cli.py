@@ -1,7 +1,10 @@
 """End-to-end command-line flows on a small generated dataset."""
 
+import argparse
 import json
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,7 +215,7 @@ _READS = {
     "linear-eval": {"lr": 1e-2, "epochs": 3},
     "calibrate": dict(_AUGMENT),
     "activity-train": {"seed": 5, **_MODEL, "lr": 1e-3, "epochs": 1, "batch_size": 4},
-    "activity-eval": {"seed": 5},
+    "activity-eval": {},
 }
 # Keys no command reads from --config: path and action flags, a deleted
 # option and a typo.
@@ -272,6 +275,64 @@ def test_config_refuses_keys_the_command_does_not_read(data_dir, tmp_path, capsy
         _READS[command])
 
 
+# Flags that name a path, an action or the config file rather than a setting.
+_PATH_FLAGS = {"-h", "--help", "--config"} | {"--" + key.replace("_", "-")
+                                              for key in _NEVER_READ}
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_setting_flags_are_the_non_tuple_config_keys(command):
+    name = "activity" if command.startswith("activity") else command
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for action in subparsers.choices[name]._actions
+             for flag in action.option_strings} - _PATH_FLAGS
+    # `activity train` and `activity eval` share one subparser
+    keys = {key for other, reads in _READS.items() if other.startswith(name)
+            for key, value in reads.items() if not isinstance(value, list)}
+    assert flags == {"--" + key.replace("_", "-") for key in keys}
+
+
+def test_pretrain_depth_flag_reaches_the_checkpoint(data_dir, tmp_path):
+    out = tmp_path / "d3.bin"
+    assert main(["pretrain", "--data", str(data_dir), "--out", str(out),
+                 "--depth", "3", "--epochs", "0"]) == 0
+    model, _ = restore_model(out)
+    assert model.cfg.depth == 3
+    assert len(model.cfg.encoder_channels) == 4
+
+
+@pytest.mark.parametrize("argv", [["linear-eval", "--seed", "5"],
+                                  ["calibrate", "--seed", "5"],
+                                  ["activity-eval", "--lr", "1e-3"],
+                                  ["activity-eval", "--seed", "5"]],
+                         ids=" ".join)
+def test_flag_the_command_does_not_take_exits_2(data_dir, tmp_path, capsys,
+                                                stop_after_check, argv):
+    try:
+        rc = main(_argv(argv[0], data_dir, tmp_path) + argv[1:])
+    except SystemExit as exc:  # argparse: the subparser has no such flag
+        rc = exc.code
+    else:  # the flag belongs to the other mode of the same subparser
+        assert capsys.readouterr().err == (
+            f"error[2] unknown flag(s) for {argv[0]}: {argv[1]}\n")
+    assert rc == 2
+
+
+def test_readme_quickstart_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quickstart", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("c2fseg ")]
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: c2fseg {' '.join(argv)}")
+
+
 _BAD_SCHEDULES = [
     (["icc", "--labeled-frac", "0"], "labeled_fraction must lie in (0, 1], got 0.0"),
     (["icc", "--iterations", "0"], "iterations must be >= 1, got 0"),
@@ -282,6 +343,9 @@ _BAD_SCHEDULES = [
     (["train", "--epochs", "-1"], "epochs must be >= 0, got -1"),
     (["pretrain", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
     (["linear-eval", "--lr", "-1"], "lr must be positive, got -1.0"),
+    (["activity-train", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
+    (["activity-train", "--lr", "0"], "lr must be positive, got 0.0"),
+    (["calibrate", "--bins", "0"], "bins must be >= 1, got 0"),
 ]
 
 
