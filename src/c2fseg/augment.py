@@ -21,7 +21,7 @@ class AugmentConfig:
     pi0: float = 0.5
     tta_samples: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.w0 < 2:
             raise ValueError(f"base window must be >= 2, got {self.w0}")
         if not (0.0 < self.pi0 <= 1.0):
@@ -36,7 +36,6 @@ def window_support(w0: int) -> np.ndarray:
 
 
 def sample_window(cfg: AugmentConfig, rng: np.random.Generator) -> int:
-    cfg.validate()
     if rng.random() < cfg.pi0:
         return cfg.w0
     support = window_support(cfg.w0)
@@ -95,7 +94,6 @@ def tta_predict(model, v: np.ndarray, cfg: AugmentConfig, rng: np.random.Generat
     # blocks: it wraps augment.tta_predict by that name.
     from .inference import predict_probs_window
 
-    cfg.validate()
     t = np.asarray(v).shape[0]
     acc = None
     for _ in range(cfg.tta_samples):

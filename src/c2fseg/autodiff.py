@@ -15,7 +15,6 @@ of silently poisoning a training run.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -65,19 +64,7 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-_tls = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = _tls.stack = []
-    return stack
-
-
-def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_active: "Tape | None" = None   # the tape that ops record onto, if any
 
 
 class Tape:
@@ -89,15 +76,17 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._outer: Tape | None = None   # the tape this one was entered inside
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        global _active
+        self._outer, _active = _active, self
         return self
 
     def __exit__(self, *exc) -> None:
-        stack = _tape_stack()
-        assert stack and stack[-1] is self
-        stack.pop()
+        global _active
+        assert _active is self
+        _active = self._outer
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -139,9 +128,8 @@ def _apply(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn: Callable
     _check_finite(out_data, name)
     needs = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
-    tape = active_tape()
-    if needs and tape is not None:
-        tape._nodes.append((out, tuple(inputs), backward_fn))
+    if needs and _active is not None:
+        _active._nodes.append((out, tuple(inputs), backward_fn))
     return out
 
 

@@ -5,10 +5,11 @@ calibrate, activity.  ``_SETTINGS`` declares each command's settings once,
 as key -> (type, default).  Each is a key of ``--config cfg.json`` and,
 except the tuple-valued ``encoder_channels``, ``decoder_channels`` and
 ``tpp_windows``, the flag ``--key`` (dashes for underscores); a given flag
-wins over the file.  A key or flag the command does not take is a usage
-error, raised before any data is loaded.  Only gen-synth, train, pretrain,
-icc, eval and activity train take ``--seed`` (one seed, fanned into named
-sub-streams).
+wins over the file.  A key or flag the command does not take, or a
+config value of the wrong JSON type, is a usage error raised before any
+data is loaded; a value that a config refuses when it is built is a
+usage error too.  Only gen-synth, train, pretrain, icc, eval and activity
+train take ``--seed`` (one seed, fanned into named sub-streams).
 
 Exit codes: 0 success, 2 usage, 3 data/format, 4 numerical failure.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -155,21 +157,32 @@ def _settings(args, command: str) -> argparse.Namespace:
     unknown = sorted(_flag(key) for key in set(flags) - set(table))
     if unknown:
         raise UsageError(f"unknown flag(s) for {command}: {', '.join(unknown)}")
-    values = {}
-    for key, (kind, default) in table.items():
-        value = flags.get(key, config.get(key, default))
-        values[key] = value if value is None else kind(value)
-    return argparse.Namespace(**values)
+    config = {key: _typed(key, *table[key], value) for key, value in config.items()}
+    return argparse.Namespace(**{key: flags.get(key, config.get(key, default))
+                                 for key, (_, default) in table.items()})
 
 
-def _validated(*checks) -> None:
-    """Run each check before any work starts; a bad value is a usage
-    error, not a traceback."""
-    for check in checks:
-        try:
-            check()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+def _typed(key: str, kind: type, default, value):
+    """A --config value of its setting's JSON type: an integer passes for
+    a float, a list of integers for a tuple, null only if the default is."""
+    if kind is tuple and isinstance(value, list) and all(type(v) is int for v in value):
+        return tuple(value)
+    if type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    if value is None and default is None:
+        return None
+    expected = "list of int" if kind is tuple else kind.__name__
+    null = " or null" if default is None else ""
+    raise UsageError(f"config key {key} must be {expected}{null}, got {json.dumps(value)}")
+
+
+@contextmanager
+def _usage_errors():
+    """Turns a config's refusal of its values into a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _check_outputs(*paths) -> None:
@@ -214,14 +227,14 @@ def _contrast_config_for(s, num_classes: int) -> ContrastConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_synth(args, s) -> int:
-    cfg = SyntheticConfig(
-        num_videos=s.videos, num_actions=s.actions, num_activities=s.activities,
-        feat_dim=s.feat_dim, len_range=(s.len_min, s.len_max),
-        segments_range=(s.segments_min, s.segments_max), min_segment_len=s.min_segment,
-        sigma_between=s.sigma_between, sigma_within=s.sigma_within,
-        frame_noise=s.frame_noise, smooth_radius=s.smooth_radius,
-        label_noise=s.label_noise, test_fraction=s.test_fraction, seed=s.seed)
-    _validated(cfg.validate)
+    with _usage_errors():
+        cfg = SyntheticConfig(
+            num_videos=s.videos, num_actions=s.actions, num_activities=s.activities,
+            feat_dim=s.feat_dim, len_range=(s.len_min, s.len_max),
+            segments_range=(s.segments_min, s.segments_max), min_segment_len=s.min_segment,
+            sigma_between=s.sigma_between, sigma_within=s.sigma_within,
+            frame_noise=s.frame_noise, smooth_radius=s.smooth_radius,
+            label_noise=s.label_noise, test_fraction=s.test_fraction, seed=s.seed)
     manifest = gen_synthetic(cfg, args.out)
     print(f"wrote {len(manifest.entries)} clips to {args.out}")
     return 0
@@ -230,13 +243,13 @@ def cmd_gen_synth(args, s) -> int:
 def cmd_train(args, s) -> int:
     _check_outputs(args.out, args.trace_out)
     dataset = Dataset.load(args.data)
-    model_cfg = _model_config_for(dataset, s)
-    augment_cfg = _augment_config_for(s)
-    loss_cfg = LossConfig(lambda_tr=s.lambda_tr, eps_max=s.eps_max,
-                          transition=not s.no_transition)
-    train_cfg = TrainConfig(lr=s.lr, weight_decay=s.wd, epochs=s.epochs,
-                            batch_size=s.batch_size, loss_per_layer=s.loss_per_layer)
-    _validated(model_cfg.validate, augment_cfg.validate, train_cfg.validate)
+    with _usage_errors():
+        model_cfg = _model_config_for(dataset, s)
+        augment_cfg = _augment_config_for(s)
+        loss_cfg = LossConfig(lambda_tr=s.lambda_tr, eps_max=s.eps_max,
+                              transition=not s.no_transition)
+        train_cfg = TrainConfig(lr=s.lr, weight_decay=s.wd, epochs=s.epochs,
+                                batch_size=s.batch_size, loss_per_layer=s.loss_per_layer)
     model = build_model(model_cfg, s.seed)
     trace = train_supervised(model, dataset.train(), augment_cfg, loss_cfg,
                              train_cfg, s.seed)
@@ -251,13 +264,12 @@ def cmd_train(args, s) -> int:
 def cmd_pretrain(args, s) -> int:
     _check_outputs(args.out)
     dataset = Dataset.load(args.data)
-    model_cfg = _model_config_for(dataset, s)
-    augment_cfg = _augment_config_for(s)
-    contrast_cfg = _contrast_config_for(s, dataset.num_classes)
-    train_cfg = ContrastTrainConfig(lr=s.lr, weight_decay=s.wd, epochs=s.epochs,
-                                    batch_size=s.batch_size)
-    _validated(model_cfg.validate, augment_cfg.validate, contrast_cfg.validate,
-               train_cfg.validate)
+    with _usage_errors():
+        model_cfg = _model_config_for(dataset, s)
+        augment_cfg = _augment_config_for(s)
+        contrast_cfg = _contrast_config_for(s, dataset.num_classes)
+        train_cfg = ContrastTrainConfig(lr=s.lr, weight_decay=s.wd, epochs=s.epochs,
+                                        batch_size=s.batch_size)
     model = build_model(model_cfg, s.seed)
     losses = pretrain_unsupervised(model, dataset.train(), contrast_cfg, augment_cfg,
                                    train_cfg, s.seed)
@@ -269,18 +281,17 @@ def cmd_pretrain(args, s) -> int:
 
 def cmd_icc(args, s) -> int:
     dataset = Dataset.load(args.data)
-    model_cfg = _model_config_for(dataset, s)
-    augment_cfg = _augment_config_for(s)
-    contrast_cfg = _contrast_config_for(s, dataset.num_classes)
-    icc_cfg = ICCConfig(
-        iterations=s.iterations, labeled_fraction=s.labeled_frac, lr_g=s.lr_g,
-        lr_m_classify=s.lr_m_classify, lr_m_contrast=s.lr_m_contrast,
-        weight_decay=s.wd, pretrain_epochs=s.pretrain_epochs,
-        contrast_epochs=s.contrast_epochs, classify_epochs=s.classify_epochs,
-        batch_size=s.batch_size, classify_transition=s.classify_transition,
-        skip_unsupervised=s.skip_unsupervised)
-    _validated(model_cfg.validate, augment_cfg.validate, contrast_cfg.validate,
-               icc_cfg.validate)
+    with _usage_errors():
+        model_cfg = _model_config_for(dataset, s)
+        augment_cfg = _augment_config_for(s)
+        contrast_cfg = _contrast_config_for(s, dataset.num_classes)
+        icc_cfg = ICCConfig(
+            iterations=s.iterations, labeled_fraction=s.labeled_frac, lr_g=s.lr_g,
+            lr_m_classify=s.lr_m_classify, lr_m_contrast=s.lr_m_contrast,
+            weight_decay=s.wd, pretrain_epochs=s.pretrain_epochs,
+            contrast_epochs=s.contrast_epochs, classify_epochs=s.classify_epochs,
+            batch_size=s.batch_size, classify_transition=s.classify_transition,
+            skip_unsupervised=s.skip_unsupervised)
     model = build_model(model_cfg, s.seed)
     split = make_split(dataset, icc_cfg.labeled_fraction, s.seed)
     results = run_icc(model, AuditedDataset(dataset), split, dataset.test(), icc_cfg,
@@ -299,8 +310,8 @@ def cmd_icc(args, s) -> int:
 
 def cmd_eval(args, s) -> int:
     _check_outputs(args.report)
-    augment_cfg = replace(_augment_config_for(s), tta_samples=s.tta_samples)
-    _validated(augment_cfg.validate)
+    with _usage_errors():
+        augment_cfg = replace(_augment_config_for(s), tta_samples=s.tta_samples)
     dataset = Dataset.load(args.data)
     model, heads = restore_model(args.ckpt)
     clips = dataset.split(args.split)
@@ -317,8 +328,8 @@ def cmd_eval(args, s) -> int:
 
 def cmd_linear_eval(args, s) -> int:
     _check_outputs(args.report)
-    cfg = LinearEvalConfig(lr=s.lr, epochs=s.epochs)
-    _validated(cfg.validate)
+    with _usage_errors():
+        cfg = LinearEvalConfig(lr=s.lr, epochs=s.epochs)
     dataset = Dataset.load(args.data)
     raw = bool(args.raw_baseline)
     model = None if raw else restore_model(args.ckpt)[0]
@@ -334,8 +345,8 @@ def cmd_calibrate(args, s) -> int:
     _check_outputs(args.out, args.entropy_out)
     if args.bins < 1:
         raise UsageError(f"bins must be >= 1, got {args.bins}")
-    augment_cfg = _augment_config_for(s)
-    _validated(augment_cfg.validate)
+    with _usage_errors():
+        augment_cfg = _augment_config_for(s)
     dataset = Dataset.load(args.data)
     model, _ = restore_model(args.ckpt)
     report, entropies = calibration_for(model, dataset.test(), augment_cfg,
@@ -351,13 +362,14 @@ def cmd_activity(args, s) -> int:
     train = args.mode == "train"
     _check_outputs(args.out if train else args.report)
     if train:
-        _validated(lambda: check_schedule(s.lr, s.epochs, s.batch_size))
+        with _usage_errors():
+            check_schedule(s.lr, s.epochs, s.batch_size)
     dataset = Dataset.load(args.data)
     if dataset.num_activities < 2:
         raise UsageError("activity recognition needs at least two activities")
     if train:
-        model_cfg = _model_config_for(dataset, s)
-        _validated(model_cfg.validate)
+        with _usage_errors():
+            model_cfg = _model_config_for(dataset, s)
         model = build_model(model_cfg, s.seed)
         clips = dataset.train()
 

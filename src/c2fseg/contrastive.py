@@ -35,7 +35,7 @@ class ContrastConfig:
     num_clusters: int = 12         # k for the per-batch clustering
     use_video_level: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.K < 1:
             raise ValueError("need at least one partition")
         if self.tau <= 0.0:
@@ -121,7 +121,6 @@ class SampledFrames:
 def sample_frames(t_n: int, cfg: ContrastConfig, rng: np.random.Generator) -> SampledFrames:
     """One uniform draw per partition [i/K, (i+1)/K) plus an epsilon-offset
     companion for each (random sign, clipped into [0, 1])."""
-    cfg.validate()
     k = cfg.K
     if t_n < k:
         raise ValueError(f"clip too short: {t_n} frames for K={k} partitions")
@@ -197,7 +196,6 @@ def contrastive_loss(features: list[Tensor], samples: list[SampledFrames],
     """Frame-level NCE over sampled frames plus (optionally) a video-level
     term over max-pooled clip features; each term is averaged over its own
     positive-pair count."""
-    cfg.validate()
     sets = build_sets(samples, labels, activities, cfg.delta, cfg.use_video_level)
     gathered = [ad.take_rows(f, s.frames) for f, s in zip(features, samples)]
     rows = normalize_rows(ad.concat(gathered, axis=0))
@@ -239,14 +237,14 @@ class ContrastClip:
     activity: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContrastTrainConfig:
     lr: float = 1e-3
     weight_decay: float = 0.0
     epochs: int = 30
     batch_size: int = 8
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_schedule(self.lr, self.epochs, self.batch_size)
 
 
@@ -263,7 +261,6 @@ def run_contrast_training(model: Model, clips: list[ContrastClip],
     labels, then samples frames per clip for the loss.  Only backbone
     parameters are updated.  Returns per-epoch mean batch losses.
     """
-    cfg.validate()
     rng = substream(seed, stream)
     opt = Adam(model.backbone_parameters(), lr=train_cfg.lr,
                weight_decay=train_cfg.weight_decay)
@@ -305,12 +302,12 @@ def pretrain_unsupervised(model: Model, clips: list, cfg: ContrastConfig,
 # Linear probing of the learned representation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LinearEvalConfig:
     lr: float = 1e-2
     epochs: int = 300
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_schedule(self.lr, self.epochs)
 
 

@@ -138,6 +138,8 @@ class Manifest:
             payload = json.loads(_read(path, text=True))
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(payload, list) or not payload:
+            raise DataFormatError(f"{path}: manifest must be a non-empty JSON list")
         entries = []
         for item in payload:
             try:
@@ -266,7 +268,7 @@ class SyntheticConfig:
     min_segment_len: int = 32
     seed: int = 7
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.sigma_between <= self.sigma_within:
             raise ValueError("sigma_between must exceed sigma_within")
         if self.num_activities < 1 or self.num_actions < 2:
@@ -339,7 +341,6 @@ def gen_synthetic(cfg: SyntheticConfig, out_dir) -> Manifest:
     smoothing, so per-frame classification is genuinely ambiguous while
     temporal context resolves it.
     """
-    cfg.validate()
     root = Path(out_dir)
     (root / "features").mkdir(parents=True, exist_ok=True)
     (root / "labels").mkdir(parents=True, exist_ok=True)
@@ -532,21 +533,22 @@ def model_state(model: Model) -> dict[str, np.ndarray]:
 
 
 def config_from_state(state: dict[str, np.ndarray]) -> ModelConfig:
+    """The topology in a checkpoint's metadata, which must be valid."""
     try:
-        meta = state["meta.model"]
-        enc = state["meta.encoder_channels"]
-        dec = state["meta.decoder_channels"]
-        tpp = state["meta.tpp_windows"]
+        meta, enc, dec, tpp = (state[f"meta.{name}"] for name in (
+            "model", "encoder_channels", "decoder_channels", "tpp_windows"))
+        input_dim, num_classes, num_activities, kernel, depth, nearest, skip, hidden = meta
+        return ModelConfig(input_dim=int(input_dim), num_classes=int(num_classes),
+                           num_activities=int(num_activities), kernel=int(kernel),
+                           depth=int(depth), encoder_channels=tuple(int(c) for c in enc),
+                           decoder_channels=tuple(int(c) for c in dec),
+                           tpp_windows=tuple(int(w) for w in tpp),
+                           upsample_mode="nearest" if nearest > 0.5 else "linear",
+                           skip_connections=bool(skip > 0.5), activity_hidden=int(hidden))
     except KeyError as exc:
         raise DataFormatError(f"checkpoint lacks metadata tensor {exc}") from exc
-    mode = "nearest" if meta[5] > 0.5 else "linear"
-    return ModelConfig(input_dim=int(meta[0]), num_classes=int(meta[1]),
-                       num_activities=int(meta[2]), kernel=int(meta[3]),
-                       depth=int(meta[4]), encoder_channels=tuple(int(c) for c in enc),
-                       decoder_channels=tuple(int(c) for c in dec),
-                       tpp_windows=tuple(int(w) for w in tpp), upsample_mode=mode,
-                       skip_connections=bool(meta[6] > 0.5),
-                       activity_hidden=int(meta[7]))
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"checkpoint metadata is invalid: {exc}") from exc
 
 
 def load_into(model: Model, state: dict[str, np.ndarray],
@@ -577,7 +579,10 @@ def save_model(path, model: Model) -> None:
 def restore_model(path) -> tuple[Model, ProjectionHeads]:
     """Rebuild a model (and its operative heads) from a weights file alone."""
     state = load_checkpoint(path)
-    cfg = config_from_state(state)
+    try:
+        cfg = config_from_state(state)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     model = build_model(cfg, seed=0)
     load_into(model, state, source=str(path))
     return model, model.heads

@@ -33,7 +33,7 @@ from .seeding import substream
 from .supervised import LossConfig, c2f_ensemble, fit, joint_loss, pooled_clip
 
 
-@dataclass
+@dataclass(frozen=True)
 class ICCConfig:
     iterations: int = 4
     labeled_fraction: float = 0.1
@@ -48,7 +48,7 @@ class ICCConfig:
     classify_transition: bool = False   # transition penalty stays off by default
     skip_unsupervised: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 < self.labeled_fraction <= 1.0:

@@ -36,7 +36,7 @@ class ModelConfig:
     skip_connections: bool = True
     activity_hidden: int = 128
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if len(self.encoder_channels) != self.depth + 1:
@@ -257,7 +257,6 @@ class Model:
     """Backbone + default heads (+ optional activity head)."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        cfg.validate()
         self.cfg = cfg
         enc = cfg.encoder_channels
         self.enc_stages = []

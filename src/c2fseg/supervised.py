@@ -135,7 +135,7 @@ def check_schedule(lr: float, epochs: int, batch_size: int = 1) -> None:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 3e-4
     weight_decay: float = 1e-3
@@ -144,7 +144,7 @@ class TrainConfig:
     loss_per_layer: bool = False     # attach the loss to every stage, not just the mix
     activity_weight: float = 0.0     # optional video-level auxiliary term
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_schedule(self.lr, self.epochs, self.batch_size)
 
 

@@ -71,13 +71,13 @@ def test_sampler_pi0_one_always_returns_base():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        AugmentConfig(w0=1).validate()
+        AugmentConfig(w0=1)
     with pytest.raises(ValueError):
-        AugmentConfig(pi0=0.0).validate()
+        AugmentConfig(pi0=0.0)
     with pytest.raises(ValueError):
-        AugmentConfig(pi0=1.2).validate()
+        AugmentConfig(pi0=1.2)
     with pytest.raises(ValueError):
-        AugmentConfig(tta_samples=0).validate()
+        AugmentConfig(tta_samples=0)
 
 
 # ---------------------------------------------------------------------------

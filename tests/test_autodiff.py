@@ -203,6 +203,19 @@ def test_no_tape_no_recording():
     assert len(tape) == 0
 
 
+def test_nested_tapes_record_on_the_innermost():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as outer:
+        ad.mul(x, 2.0)
+        with Tape() as inner:
+            ad.mul(x, 3.0)
+        ad.mul(x, 4.0)
+        with pytest.raises(AssertionError):
+            inner.__exit__(None, None, None)
+    ad.mul(x, 5.0)
+    assert (len(outer), len(inner)) == (2, 1)
+
+
 def test_nonfinite_forward_raises():
     with np.errstate(invalid="ignore", divide="ignore"):
         with pytest.raises(NumericsError):

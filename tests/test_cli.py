@@ -11,7 +11,8 @@ import pytest
 
 from c2fseg import cli
 from c2fseg.cli import main
-from c2fseg.data import load_features, restore_model, save_features
+from c2fseg.data import (load_checkpoint, load_features, restore_model, save_checkpoint,
+                         save_features)
 from c2fseg.model import build_model
 
 
@@ -355,6 +356,61 @@ def test_invalid_schedule_is_one_usage_line(data_dir, tmp_path, capsys, stop_aft
                                             argv, message):
     assert main(_argv(argv[0], data_dir, tmp_path) + argv[1:]) == 2
     assert capsys.readouterr().err.strip().splitlines() == [f"error[2] {message}"]
+
+
+_WRONG_TYPES = [
+    ("train", {"epochs": 1.9}, "epochs must be int, got 1.9"),
+    ("train", {"epochs": True}, "epochs must be int, got true"),
+    ("train", {"no_augment": "false"}, 'no_augment must be bool, got "false"'),
+    ("train", {"encoder_channels": 64}, "encoder_channels must be list of int, got 64"),
+    ("train", {"tpp_windows": [2, 3.5]}, "tpp_windows must be list of int, got [2, 3.5]"),
+    ("train", {"lr": None}, "lr must be float, got null"),
+    ("train", {"upsample_mode": 1}, "upsample_mode must be str, got 1"),
+    ("pretrain", {"tau": "0.1"}, 'tau must be float, got "0.1"'),
+    ("pretrain", {"epsilon": "small"}, 'epsilon must be float or null, got "small"'),
+    ("icc", {"clusters": 2.0}, "clusters must be int or null, got 2.0"),
+    ("linear-eval", {"epochs": "3"}, 'epochs must be int, got "3"'),
+]
+
+
+@pytest.mark.parametrize("command,payload,message", _WRONG_TYPES,
+                         ids=[f"{c} {json.dumps(p)}" for c, p, _ in _WRONG_TYPES])
+def test_wrong_typed_config_value_is_one_usage_line(data_dir, tmp_path, capsys,
+                                                    stop_after_check, command, payload,
+                                                    message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(_argv(command, data_dir, tmp_path) + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error[2] config key {message}"]
+
+
+@pytest.mark.parametrize("meta,reason", [
+    (lambda m: np.concatenate([m[:3], [4.0], m[4:]]), "kernel must be odd, got 4"),
+    (lambda m: m[:7], "not enough values to unpack"),
+], ids=["even kernel", "seven entries"])
+def test_bad_checkpoint_metadata_exits_3_naming_the_file(data_dir, ckpt, tmp_path, capsys,
+                                                         meta, reason):
+    state = load_checkpoint(ckpt)
+    state["meta.model"] = meta(state["meta.model"])
+    bad = tmp_path / "bad-meta.bin"
+    save_checkpoint(bad, state)
+    rc = main(["eval", "--ckpt", str(bad), "--data", str(data_dir),
+               "--report", str(tmp_path / "r.json")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[3] {bad}: ") and reason in err[0]
+
+
+@pytest.mark.parametrize("payload", ["[]", "5", '{"id": "vid000"}'])
+def test_manifest_that_is_not_a_list_of_clips_exits_3(data_dir, tmp_path, capsys, payload):
+    broken = tmp_path / "broken-data"
+    shutil.copytree(data_dir, broken)
+    (broken / "manifest.json").write_text(payload)
+    rc = main(["train", "--data", str(broken), "--out", str(tmp_path / "m.bin")])
+    assert rc == 3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error[3] {broken / 'manifest.json'}: manifest must be a non-empty JSON list"]
 
 
 @pytest.mark.parametrize("command,flag", [

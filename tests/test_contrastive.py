@@ -61,7 +61,19 @@ def test_default_epsilon_is_third_of_partition():
 )
 def test_invalid_contrast_config_rejected(bad):
     with pytest.raises(ValueError):
-        ContrastConfig(**bad).validate()
+        ContrastConfig(**bad)
+
+
+@pytest.mark.parametrize("cls,bad", [
+    (ContrastTrainConfig, dict(epochs=-2)),
+    (ContrastTrainConfig, dict(lr=0.0)),
+    (ContrastTrainConfig, dict(batch_size=0)),
+    (LinearEvalConfig, dict(epochs=-1)),
+    (LinearEvalConfig, dict(lr=-1.0)),
+], ids=lambda v: getattr(v, "__name__", None) or str(v))
+def test_invalid_schedule_config_refused_when_built(cls, bad):
+    with pytest.raises(ValueError):
+        cls(**bad)
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,13 @@ def test_manifest_bad_json(tmp_path):
         Manifest.load(tmp_path / "m.json")
 
 
+@pytest.mark.parametrize("payload", ["[]", "5", '"clips"'])
+def test_manifest_must_be_a_non_empty_list(tmp_path, payload):
+    (tmp_path / "m.json").write_text(payload)
+    with pytest.raises(DataFormatError, match="non-empty JSON list"):
+        Manifest.load(tmp_path / "m.json")
+
+
 def test_manifest_malformed_entry(tmp_path):
     (tmp_path / "m.json").write_text('[{"id": "v0"}]')
     with pytest.raises(DataFormatError, match="malformed"):
@@ -468,6 +475,22 @@ def test_restore_model_round_trips_config_variants(tmp_path):
     assert restored.cfg.upsample_mode == "nearest"
     assert restored.cfg.tpp_windows == (2,)
     assert config_from_state(model_state(model)) == model.cfg
+
+
+@pytest.mark.parametrize("index,value", [(3, 4.0), (4, 0.0), (0, np.inf), (7, np.nan)])
+def test_config_from_state_refuses_invalid_metadata(index, value):
+    state = model_state(tiny_model())
+    state["meta.model"] = state["meta.model"].copy()
+    state["meta.model"][index] = value
+    with pytest.raises(DataFormatError, match="metadata is invalid"):
+        config_from_state(state)
+
+
+def test_config_from_state_refuses_malformed_metadata():
+    state = model_state(tiny_model())
+    state["meta.model"] = state["meta.model"][:7]
+    with pytest.raises(DataFormatError, match="metadata is invalid"):
+        config_from_state(state)
 
 
 def test_config_from_state_requires_metadata():

@@ -144,6 +144,14 @@ def test_contrast_step_reads_labels_only_where_it_may(setting):
     assert len(losses) == SMALL_ICC.contrast_epochs
 
 
+@pytest.mark.parametrize("bad", [dict(iterations=0), dict(labeled_fraction=0.0),
+                                 dict(lr_m_contrast=0.0), dict(contrast_epochs=-1),
+                                 dict(batch_size=0)])
+def test_invalid_icc_config_refused_when_built(bad):
+    with pytest.raises(ValueError):
+        ICCConfig(**bad)
+
+
 def test_config_defaults_follow_profile():
     cfg = ICCConfig()
     # the paper's semi-supervised settings

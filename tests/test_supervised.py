@@ -316,6 +316,12 @@ def short_train(model, clips, seed=1, **kw):
     return train_supervised(model, clips, AugmentConfig(w0=2), LossConfig(), tc, seed=seed)
 
 
+@pytest.mark.parametrize("bad", [dict(epochs=-1), dict(batch_size=0), dict(lr=0.0)])
+def test_invalid_train_config_refused_when_built(bad):
+    with pytest.raises(ValueError):
+        TrainConfig(**bad)
+
+
 def test_training_decreases_loss():
     rng = np.random.default_rng(11)
     clips = toy_dataset(rng)
