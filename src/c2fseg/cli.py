@@ -1,15 +1,16 @@
 """Command-line interface.
 
 Subcommands: gen-synth, train, pretrain, icc, eval, linear-eval,
-calibrate, activity.  ``_SETTINGS`` declares each command's settings once,
-as key -> (type, default).  Each is a key of ``--config cfg.json`` and,
-except the tuple-valued ``encoder_channels``, ``decoder_channels`` and
-``tpp_windows``, the flag ``--key`` (dashes for underscores); a given flag
-wins over the file.  A key or flag the command does not take, or a
-config value of the wrong JSON type, is a usage error raised before any
-data is loaded; a value that a config refuses when it is built is a
-usage error too.  Only gen-synth, train, pretrain, icc, eval and activity
-train take ``--seed`` (one seed, fanned into named sub-streams).
+calibrate, activity train, activity eval.  ``_SETTINGS`` declares each
+command's settings once, as key -> (type, default).  Each is a key of
+``--config cfg.json`` and, except the tuple-valued ``encoder_channels``,
+``decoder_channels`` and ``tpp_windows``, the flag ``--key`` (dashes for
+underscores); a given flag wins over the file.  A key or flag the
+command does not take, or a config value of the wrong JSON type, is a
+usage error raised before any data is loaded; a value that a config
+refuses when it is built is a usage error too.  Only gen-synth, train,
+pretrain, icc, eval and activity train take ``--seed`` (one seed, fanned
+into named sub-streams).
 
 Exit codes: 0 success, 2 usage, 3 data/format, 4 numerical failure.
 """
@@ -122,7 +123,6 @@ _SETTINGS: dict[str, dict[str, tuple]] = {
                        **_schedule(lr=1e-3, epochs=30, batch_size=_SYNTH["batch_size"])},
     "activity-eval": {},
 }
-_SETTING_KEYS = set().union(*_SETTINGS.values())
 
 
 def _flag(key: str) -> str:
@@ -143,20 +143,18 @@ def _load_config(path: str | None) -> dict:
     return payload
 
 
-def _settings(args, command: str) -> argparse.Namespace:
-    """Every setting of ``command``: the flag if given, else the --config
-    key, else the default.  Refuses the config keys and given flags the
-    command does not take.  ``main`` calls it before the command runs."""
-    table = _SETTINGS[command]
+def _settings(args) -> argparse.Namespace:
+    """Every setting of the command ``args.settings`` names: the flag if
+    given, else the --config key, else the default.  Refuses the config
+    keys the command does not take.  ``main`` calls it before the command
+    runs."""
+    table = _SETTINGS[args.settings]
     config = _load_config(args.config)
     flags = {key: value for key, value in vars(args).items()
-             if key in _SETTING_KEYS and value is not None}
+             if key in table and value is not None}
     unknown = sorted(set(config) - set(table))
     if unknown:
-        raise UsageError(f"unknown config key(s) for {command}: {', '.join(unknown)}")
-    unknown = sorted(_flag(key) for key in set(flags) - set(table))
-    if unknown:
-        raise UsageError(f"unknown flag(s) for {command}: {', '.join(unknown)}")
+        raise UsageError(f"unknown config key(s) for {args.settings}: {', '.join(unknown)}")
     config = {key: _typed(key, *table[key], value) for key, value in config.items()}
     return argparse.Namespace(**{key: flags.get(key, config.get(key, default))
                                  for key, (_, default) in table.items()})
@@ -198,17 +196,45 @@ def _write_json(path, payload: dict) -> None:
                           encoding="utf-8")
 
 
+def _channels(s, key: str, length: int) -> tuple:
+    """Channel plan ``key``: the default plan cut or padded to ``length``,
+    for --depth.  A plan from --config is a new tuple (``_typed``), so it
+    goes to ModelConfig as given, which refuses a wrong length."""
+    plan = getattr(s, key)
+    return (plan + plan[-1:] * length)[:length] if plan is _MODEL[key][1] else plan
+
+
 def _model_config_for(dataset: Dataset, s) -> ModelConfig:
-    # resize channel plans when a non-default depth is requested
-    enc, dec = s.encoder_channels, s.decoder_channels
     return ModelConfig(
         input_dim=dataset.feat_dim, num_classes=dataset.num_classes,
         num_activities=dataset.num_activities, kernel=s.kernel, depth=s.depth,
-        encoder_channels=(enc + enc[-1:] * s.depth)[:s.depth + 1],
-        decoder_channels=(dec + dec[-1:] * s.depth)[:s.depth],
+        encoder_channels=_channels(s, "encoder_channels", s.depth + 1),
+        decoder_channels=_channels(s, "decoder_channels", s.depth),
         tpp_windows=s.tpp_windows, upsample_mode=s.upsample_mode,
         skip_connections=not s.no_skip, activity_hidden=s.activity_hidden,
     )
+
+
+def _training_data(path) -> Dataset:
+    """The dataset at ``path``; one without a training clip is a data error."""
+    dataset = Dataset.load(path)
+    if not dataset.train():
+        raise DataFormatError(f"{path}: no clip is in the train split")
+    return dataset
+
+
+def _restore_for(path, dataset: Dataset, classes: bool = True):
+    """The model and heads at ``path``, refused unless the model reads the
+    dataset's features and, with ``classes``, predicts its classes."""
+    model, heads = restore_model(path)
+    fits = [("features per frame", model.cfg.input_dim, dataset.feat_dim)]
+    if classes:
+        fits.append(("classes", model.cfg.num_classes, dataset.num_classes))
+    for what, ours, theirs in fits:
+        if ours != theirs:
+            raise DataFormatError(f"{path}: the checkpoint has {ours} {what}, "
+                                  f"the dataset {theirs}")
+    return model, heads
 
 
 def _augment_config_for(s) -> AugmentConfig:
@@ -242,7 +268,7 @@ def cmd_gen_synth(args, s) -> int:
 
 def cmd_train(args, s) -> int:
     _check_outputs(args.out, args.trace_out)
-    dataset = Dataset.load(args.data)
+    dataset = _training_data(args.data)
     with _usage_errors():
         model_cfg = _model_config_for(dataset, s)
         augment_cfg = _augment_config_for(s)
@@ -263,7 +289,7 @@ def cmd_train(args, s) -> int:
 
 def cmd_pretrain(args, s) -> int:
     _check_outputs(args.out)
-    dataset = Dataset.load(args.data)
+    dataset = _training_data(args.data)
     with _usage_errors():
         model_cfg = _model_config_for(dataset, s)
         augment_cfg = _augment_config_for(s)
@@ -280,7 +306,7 @@ def cmd_pretrain(args, s) -> int:
 
 
 def cmd_icc(args, s) -> int:
-    dataset = Dataset.load(args.data)
+    dataset = _training_data(args.data)
     with _usage_errors():
         model_cfg = _model_config_for(dataset, s)
         augment_cfg = _augment_config_for(s)
@@ -312,8 +338,10 @@ def cmd_eval(args, s) -> int:
     _check_outputs(args.report)
     with _usage_errors():
         augment_cfg = replace(_augment_config_for(s), tta_samples=s.tta_samples)
+    if args.tta and s.no_augment:
+        raise UsageError("tta averages augmented windows; it cannot run with no_augment")
     dataset = Dataset.load(args.data)
-    model, heads = restore_model(args.ckpt)
+    model, heads = _restore_for(args.ckpt, dataset)
     clips = dataset.split(args.split)
     if not clips:
         raise UsageError(f"split {args.split!r} has no clips")
@@ -332,7 +360,7 @@ def cmd_linear_eval(args, s) -> int:
         cfg = LinearEvalConfig(lr=s.lr, epochs=s.epochs)
     dataset = Dataset.load(args.data)
     raw = bool(args.raw_baseline)
-    model = None if raw else restore_model(args.ckpt)[0]
+    model = None if raw else _restore_for(args.ckpt, dataset, classes=False)[0]
     report = linear_eval(model, dataset.train(), dataset.test(),
                          dataset.num_classes, raw=raw, cfg=cfg)
     _write_json(args.report, report.to_dict())
@@ -348,7 +376,7 @@ def cmd_calibrate(args, s) -> int:
     with _usage_errors():
         augment_cfg = _augment_config_for(s)
     dataset = Dataset.load(args.data)
-    model, _ = restore_model(args.ckpt)
+    model, _ = _restore_for(args.ckpt, dataset)
     report, entropies = calibration_for(model, dataset.test(), augment_cfg,
                                         num_bins=args.bins)
     Path(args.out).write_text(report.to_csv(), encoding="utf-8")
@@ -358,42 +386,48 @@ def cmd_calibrate(args, s) -> int:
     return 0
 
 
-def cmd_activity(args, s) -> int:
-    train = args.mode == "train"
-    _check_outputs(args.out if train else args.report)
-    if train:
-        with _usage_errors():
-            check_schedule(s.lr, s.epochs, s.batch_size)
+def _activity_accuracy(model, clips: list) -> float:
+    correct = sum(int(np.argmax(model.activity_probs(
+        model.encode(c.features)).data) == c.activity) for c in clips)
+    return 100.0 * correct / len(clips)
+
+
+def cmd_activity_train(args, s) -> int:
+    _check_outputs(args.out)
+    with _usage_errors():
+        check_schedule(s.lr, s.epochs, s.batch_size)
+    dataset = _training_data(args.data)
+    if dataset.num_activities < 2:
+        raise UsageError("activity recognition needs at least two activities")
+    with _usage_errors():
+        model_cfg = _model_config_for(dataset, s)
+    model = build_model(model_cfg, s.seed)
+    clips = dataset.train()
+
+    def batch_loss(chunk):
+        loss = None
+        for clip in chunk:
+            p_v = model.activity_probs(model.encode(clip.features, train=True))
+            term = activity_loss(p_v, clip.activity)
+            loss = term if loss is None else ad.add(loss, term)
+        return ad.mul(loss, 1.0 / len(chunk)), None
+
+    fit(clips, [Adam(model.backbone_parameters(), lr=s.lr)], s.epochs, s.batch_size,
+        substream(s.seed, "sampler"), batch_loss)
+    save_model(args.out, model)
+    print(f"activity head trained; train accuracy {_activity_accuracy(model, clips):.2f}; "
+          f"checkpoint at {args.out}")
+    return 0
+
+
+def cmd_activity_eval(args, s) -> int:
+    _check_outputs(args.report)
     dataset = Dataset.load(args.data)
     if dataset.num_activities < 2:
         raise UsageError("activity recognition needs at least two activities")
-    if train:
-        with _usage_errors():
-            model_cfg = _model_config_for(dataset, s)
-        model = build_model(model_cfg, s.seed)
-        clips = dataset.train()
-
-        def batch_loss(chunk):
-            loss = None
-            for clip in chunk:
-                p_v = model.activity_probs(model.encode(clip.features, train=True))
-                term = activity_loss(p_v, clip.activity)
-                loss = term if loss is None else ad.add(loss, term)
-            return ad.mul(loss, 1.0 / len(chunk)), None
-
-        fit(clips, [Adam(model.backbone_parameters(), lr=s.lr)], s.epochs, s.batch_size,
-            substream(s.seed, "sampler"), batch_loss)
-        save_model(args.out, model)
-    else:
-        model, _ = restore_model(args.ckpt)
-        clips = dataset.test()
-    correct = sum(int(np.argmax(model.activity_probs(
-        model.encode(c.features)).data) == c.activity) for c in clips)
-    accuracy = 100.0 * correct / len(clips)
-    if train:
-        print(f"activity head trained; train accuracy {accuracy:.2f}; "
-              f"checkpoint at {args.out}")
-        return 0
+    model, _ = _restore_for(args.ckpt, dataset, classes=False)
+    clips = dataset.test()
+    accuracy = _activity_accuracy(model, clips)
     if args.report:
         _write_json(args.report, {"accuracy": accuracy, "videos": len(clips)})
     print(f"activity accuracy {accuracy:.2f} over {len(clips)} clips")
@@ -404,19 +438,17 @@ def cmd_activity(args, s) -> int:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_settings(parser, *commands) -> None:
-    """One flag per non-tuple setting of ``commands``, then --config.  An
+def _add_settings(parser, command: str) -> None:
+    """One flag per non-tuple setting of ``command``, then --config.  An
     unset flag stays None, so ``_settings`` can tell it from a given one."""
-    table = {}
-    for command in commands:
-        table.update(_SETTINGS[command])
-    for key, (kind, _) in table.items():
+    for key, (kind, _) in _SETTINGS[command].items():
         if kind is bool:
             parser.add_argument(_flag(key), action="store_true", default=None)
         elif kind is not tuple:
             parser.add_argument(_flag(key), type=kind, default=None)
     parser.add_argument("--config", default=None,
                         help="JSON object of settings by key; a given flag wins")
+    parser.set_defaults(settings=command)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,27 +508,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = subs.add_parser("activity", help="video-level activity recognition")
-    p.add_argument("mode", choices=("train", "eval"))
+    modes = p.add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("train", help="train the activity head")
     p.add_argument("--data", required=True)
-    p.add_argument("--ckpt", default=None, help="checkpoint to evaluate")
-    p.add_argument("--out", default=None, help="checkpoint to write after training")
+    p.add_argument("--out", required=True, help="checkpoint to write after training")
+    _add_settings(p, "activity-train")
+    p.set_defaults(func=cmd_activity_train)
+
+    p = modes.add_parser("eval", help="activity accuracy of a checkpoint on the test split")
+    p.add_argument("--ckpt", required=True)
+    p.add_argument("--data", required=True)
     p.add_argument("--report", default=None)
-    _add_settings(p, "activity-train", "activity-eval")
-    p.set_defaults(func=cmd_activity)
+    _add_settings(p, "activity-eval")
+    p.set_defaults(func=cmd_activity_eval)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "activity":
-        if args.mode == "train" and not args.out:
-            parser.error("activity train requires --out")
-        if args.mode == "eval" and not args.ckpt:
-            parser.error("activity eval requires --ckpt")
-    command = f"activity-{args.mode}" if args.command == "activity" else args.command
     try:
-        return args.func(args, _settings(args, command))
+        return args.func(args, _settings(args))
     except UsageError as exc:
         sys.stderr.write(f"error[2] {exc}\n")
         return 2

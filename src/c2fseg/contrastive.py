@@ -11,13 +11,14 @@ ids for the semi-supervised loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .augment import AugmentConfig
 from .autodiff import Tape, Tensor
+from .data import VideoSample
 from .errors import NumericsError
 from .metrics import SegReport
 from .model import DecoderOutputs, Model, multires_feature, normalize_rows
@@ -229,14 +230,6 @@ def sampled_view(outputs: DecoderOutputs, t: int, y: np.ndarray, cfg: ContrastCo
 # Training passes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ContrastClip:
-    vid: str
-    features: np.ndarray
-    labels: np.ndarray | None   # full-length ids, or None for cluster mode
-    activity: int
-
-
 @dataclass(frozen=True)
 class ContrastTrainConfig:
     lr: float = 1e-3
@@ -248,39 +241,37 @@ class ContrastTrainConfig:
         check_schedule(self.lr, self.epochs, self.batch_size)
 
 
-def run_contrast_training(model: Model, clips: list[ContrastClip],
+def run_contrast_training(model: Model, clips: list[VideoSample],
                           cfg: ContrastConfig, augment_cfg: AugmentConfig,
                           train_cfg: ContrastTrainConfig, seed: int,
                           stream: str = "contrast") -> list[float]:
     """Contrastive training of the backbone, for unsupervised pretraining
     and for the semi-supervised contrast steps.
 
-    Each batch first pools every clip with a fresh window (labels too, when
-    the clip has them), then clusters the pooled features of the clips
-    with ``labels=None`` together so their k-means ids stand in for frame
-    labels, then samples frames per clip for the loss.  Only backbone
-    parameters are updated.  Returns per-epoch mean batch losses.
+    Either every clip has frame labels or none has.  Each batch first pools
+    every clip with a fresh window (labels too, when the clips have them);
+    label-free clips are then clustered together, so their k-means ids stand
+    in for frame labels; then frames are sampled per clip for the loss.
+    Only backbone parameters are updated.  Returns per-epoch mean batch
+    losses.
     """
+    label_free = sum(c.labels is None for c in clips)
+    if 0 < label_free < len(clips):
+        raise ValueError(f"{label_free} of {len(clips)} clips have no labels; "
+                         "a contrast run takes all clips labelled or none")
     rng = substream(seed, stream)
     opt = Adam(model.backbone_parameters(), lr=train_cfg.lr,
                weight_decay=train_cfg.weight_decay)
 
     def batch_loss(batch):
-        pooled = [pooled_clip(c.features, c.labels, augment_cfg, rng, model.cfg.depth)
-                  for c in batch]
-        pooled_feats = [v for v, _ in pooled]
-        pooled_labels = [y for _, y in pooled]
-        cluster_needed = [i for i, y in enumerate(pooled_labels) if y is None]
-        if cluster_needed:
-            stacked = np.concatenate([pooled_feats[i] for i in cluster_needed], axis=0)
+        feats, labels = zip(*(pooled_clip(c.features, c.labels, augment_cfg, rng,
+                                          model.cfg.depth) for c in batch))
+        if label_free:
+            stacked = np.concatenate(feats, axis=0)
             assign, _ = kmeans(stacked, min(cfg.num_clusters, stacked.shape[0]), rng)
-            cursor = 0
-            for i in cluster_needed:
-                t_i = pooled_feats[i].shape[0]
-                pooled_labels[i] = assign[cursor:cursor + t_i]
-                cursor += t_i
+            labels = np.split(assign, np.cumsum([v.shape[0] for v in feats])[:-1])
         views = [sampled_view(model.forward(v, train=True), v.shape[0], y, cfg, rng)
-                 for v, y in zip(pooled_feats, pooled_labels)]
+                 for v, y in zip(feats, labels)]
         loss = contrastive_loss(*zip(*views), [c.activity for c in batch], cfg)
         return loss, float(loss.data)
 
@@ -288,14 +279,12 @@ def run_contrast_training(model: Model, clips: list[ContrastClip],
     return [sum(losses) / len(losses) for losses in history]
 
 
-def pretrain_unsupervised(model: Model, clips: list, cfg: ContrastConfig,
+def pretrain_unsupervised(model: Model, clips: list[VideoSample], cfg: ContrastConfig,
                           augment_cfg: AugmentConfig, train_cfg: ContrastTrainConfig,
                           seed: int) -> list[float]:
     """Label-free pretraining: cluster ids stand in for frame labels."""
-    bare = [ContrastClip(vid=c.vid, features=c.features, labels=None,
-                         activity=c.activity) for c in clips]
-    return run_contrast_training(model, bare, cfg, augment_cfg, train_cfg, seed,
-                                 stream="pretrain")
+    return run_contrast_training(model, [replace(c, labels=None) for c in clips], cfg,
+                                 augment_cfg, train_cfg, seed, stream="pretrain")
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,8 @@ class Manifest:
 @dataclass
 class VideoSample:
     vid: str
-    features: np.ndarray   # [T, F] float64 in memory
-    labels: np.ndarray     # [T] int64
+    features: np.ndarray        # [T, F] float64 in memory
+    labels: np.ndarray | None   # [T] int64; None in a label-free training view
     activity: int
     split: str
 
@@ -182,6 +182,12 @@ class Dataset:
             if feats.shape[0] != labels.shape[0]:
                 raise DataFormatError(
                     f"{entry.id}: {feats.shape[0]} feature rows vs {labels.shape[0]} labels")
+            if feats.shape[0] == 0:
+                raise DataFormatError(f"{entry.id}: clip has no frames")
+            if samples and feats.shape[1] != samples[0].features.shape[1]:
+                raise DataFormatError(
+                    f"{entry.id}: {feats.shape[1]} features per frame, but "
+                    f"{samples[0].vid} has {samples[0].features.shape[1]}")
             samples.append(VideoSample(vid=entry.id, features=feats, labels=labels,
                                        activity=entry.activity, split=entry.split))
         num_act = max((s.activity for s in samples), default=-1) + 1
@@ -221,11 +227,6 @@ class AuditedDataset:
         self._dataset = dataset
         self.label_reads: dict[str, int] = {}
 
-    def ids(self, split: str | None = None) -> list[str]:
-        return [s.vid for s in (self._dataset.split(split) if split
-                                else sorted(self._dataset.samples.values(),
-                                            key=lambda s: s.vid))]
-
     def features(self, vid: str) -> np.ndarray:
         return self._dataset.get(vid).features
 
@@ -236,15 +237,8 @@ class AuditedDataset:
     def activity(self, vid: str) -> int:
         return self._dataset.get(vid).activity
 
-    def length(self, vid: str) -> int:
-        return self._dataset.get(vid).features.shape[0]
-
     def reads_for(self, vids) -> int:
         return sum(self.label_reads.get(v, 0) for v in vids)
-
-    @property
-    def num_classes(self) -> int:
-        return self._dataset.num_classes
 
 
 # ---------------------------------------------------------------------------

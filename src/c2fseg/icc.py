@@ -21,10 +21,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .augment import AugmentConfig
-from .contrastive import (ContrastClip, ContrastConfig, ContrastTrainConfig,
-                          contrastive_loss, pretrain_unsupervised,
-                          run_contrast_training, sampled_view)
-from .data import AuditedDataset, SplitSpec
+from .contrastive import (ContrastConfig, ContrastTrainConfig, contrastive_loss,
+                          pretrain_unsupervised, run_contrast_training, sampled_view)
+from .data import AuditedDataset, SplitSpec, VideoSample
 from .inference import evaluate_clips, predict_probs
 from .metrics import SegReport
 from .model import Model, ProjectionHeads
@@ -78,10 +77,10 @@ def _contrast_train_config(icc_cfg: ICCConfig, epochs: int) -> ContrastTrainConf
                                epochs=epochs, batch_size=icc_cfg.batch_size)
 
 
-def _clips(audited: AuditedDataset, vids, labels) -> list[ContrastClip]:
-    """The clips of ``vids``; ``labels(vid)`` gives frame labels or None."""
-    return [ContrastClip(vid=v, features=audited.features(v), labels=labels(v),
-                         activity=audited.activity(v)) for v in vids]
+def _clips(audited: AuditedDataset, vids, labels) -> list[VideoSample]:
+    """The training clips ``vids``; ``labels(vid)`` gives frame labels or None."""
+    return [VideoSample(vid=v, features=audited.features(v), labels=labels(v),
+                        activity=audited.activity(v), split="train") for v in vids]
 
 
 def classify_step(model: Model, heads: ProjectionHeads, audited: AuditedDataset,

@@ -281,16 +281,19 @@ _PATH_FLAGS = {"-h", "--help", "--config"} | {"--" + key.replace("_", "-")
                                               for key in _NEVER_READ}
 
 
+def _subparser(parser, name):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[name]
+
+
 @pytest.mark.parametrize("command", sorted(_READS))
 def test_setting_flags_are_the_non_tuple_config_keys(command):
-    name = "activity" if command.startswith("activity") else command
-    subparsers = next(a for a in cli.build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    flags = {flag for action in subparsers.choices[name]._actions
+    parser = cli.build_parser()
+    for name in command.split("-", 1) if command.startswith("activity") else [command]:
+        parser = _subparser(parser, name)
+    flags = {flag for action in parser._actions
              for flag in action.option_strings} - _PATH_FLAGS
-    # `activity train` and `activity eval` share one subparser
-    keys = {key for other, reads in _READS.items() if other.startswith(name)
-            for key, value in reads.items() if not isinstance(value, list)}
+    keys = {key for key, value in _READS[command].items() if not isinstance(value, list)}
     assert flags == {"--" + key.replace("_", "-") for key in keys}
 
 
@@ -306,18 +309,35 @@ def test_pretrain_depth_flag_reaches_the_checkpoint(data_dir, tmp_path):
 @pytest.mark.parametrize("argv", [["linear-eval", "--seed", "5"],
                                   ["calibrate", "--seed", "5"],
                                   ["activity-eval", "--lr", "1e-3"],
-                                  ["activity-eval", "--seed", "5"]],
+                                  ["activity-eval", "--seed", "5"],
+                                  ["activity-eval", "--out", "x"],
+                                  ["activity-train", "--ckpt", "x"],
+                                  ["activity-train", "--report", "x"]],
                          ids=" ".join)
-def test_flag_the_command_does_not_take_exits_2(data_dir, tmp_path, capsys,
-                                                stop_after_check, argv):
-    try:
-        rc = main(_argv(argv[0], data_dir, tmp_path) + argv[1:])
-    except SystemExit as exc:  # argparse: the subparser has no such flag
-        rc = exc.code
-    else:  # the flag belongs to the other mode of the same subparser
-        assert capsys.readouterr().err == (
-            f"error[2] unknown flag(s) for {argv[0]}: {argv[1]}\n")
-    assert rc == 2
+def test_flag_the_command_does_not_take_exits_2(data_dir, tmp_path, stop_after_check,
+                                                argv):
+    with pytest.raises(SystemExit) as exc:  # argparse: the subparser has no such flag
+        main(_argv(argv[0], data_dir, tmp_path) + argv[1:])
+    assert exc.value.code == 2
+
+
+def test_eval_tta_without_augmentation_exits_2(data_dir, tmp_path, capsys,
+                                               stop_after_check):
+    assert main(_argv("eval", data_dir, tmp_path) + ["--tta", "--no-augment"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error[2] tta averages augmented windows; it cannot run with no_augment"]
+
+
+@pytest.mark.parametrize("key,given,message", [
+    ("encoder_channels", [8] * 10, "encoder_channels needs depth+1=7 entries, got 10"),
+    ("decoder_channels", [8] * 2, "decoder_channels needs depth=6 entries, got 2"),
+])
+def test_channel_list_from_config_is_not_resized(data_dir, tmp_path, capsys,
+                                                 stop_after_check, key, given, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: given}))
+    assert main(_argv("train", data_dir, tmp_path) + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error[2] {message}"]
 
 
 def test_readme_quickstart_commands_parse():
@@ -430,6 +450,70 @@ def test_missing_output_directory_exits_before_loading_data(
     assert main(_argv(command, data_dir, tmp_path) + [flag, str(missing)]) == 2
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error[2] cannot write {missing}: no directory {missing.parent}"]
+
+
+@pytest.fixture(scope="module")
+def no_train_dir(tmp_path_factory, data_dir):
+    root = tmp_path_factory.mktemp("test-only-data")
+    shutil.copytree(data_dir, root, dirs_exist_ok=True)
+    manifest = json.loads((root / "manifest.json").read_text())
+    (root / "manifest.json").write_text(json.dumps([dict(e, split="test")
+                                                    for e in manifest]))
+    return root
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain", "icc", "activity-train"])
+def test_empty_training_split_exits_3_before_any_model(no_train_dir, tmp_path, capsys,
+                                                       stop_after_check, command):
+    assert main(_argv(command, no_train_dir, tmp_path)) == 3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error[3] {no_train_dir}: no clip is in the train split"]
+
+
+@pytest.fixture(scope="module")
+def other_data(tmp_path_factory):
+    """Two corpora the ``ckpt`` model does not fit: 16 features per frame
+    where it reads 32, and 8 classes where it predicts 6."""
+    dirs = {}
+    for name, flags in (("width", ["--feat-dim", "16"]), ("classes", ["--actions", "8"])):
+        dirs[name] = tmp_path_factory.mktemp(f"other-{name}")
+        assert main(["gen-synth", "--out", str(dirs[name]), "--videos", "6",
+                     "--len-min", "64", "--len-max", "96", "--segments-min", "2",
+                     "--segments-max", "3", "--min-segment", "8", *flags]) == 0
+    return dirs
+
+
+_MISFITS = [
+    ("eval", "width", "32 features per frame, the dataset 16"),
+    ("calibrate", "width", "32 features per frame, the dataset 16"),
+    ("linear-eval", "width", "32 features per frame, the dataset 16"),
+    ("activity-eval", "width", "32 features per frame, the dataset 16"),
+    ("eval", "classes", "6 classes, the dataset 8"),
+    ("calibrate", "classes", "6 classes, the dataset 8"),
+]
+
+
+@pytest.mark.parametrize("command,corpus,message", _MISFITS,
+                         ids=[f"{c} {k}" for c, k, _ in _MISFITS])
+def test_checkpoint_that_does_not_fit_the_dataset_exits_3(ckpt, other_data, tmp_path,
+                                                          capsys, command, corpus,
+                                                          message):
+    argv = _argv(command, other_data[corpus], tmp_path)
+    argv[argv.index("--ckpt") + 1] = str(ckpt)
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error[3] {ckpt}: the checkpoint has {message}"]
+
+
+def test_clip_the_model_cannot_run_exits_3(data_dir, tmp_path, capsys):
+    broken = tmp_path / "broken-data"
+    shutil.copytree(data_dir, broken)
+    victim = broken / "features" / "vid003.feat"
+    save_features(victim, np.zeros((len(load_features(victim)), 16)))
+    rc = main(["train", "--data", str(broken), "--out", str(tmp_path / "m.bin")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error[3] vid003: 16 features per frame")
 
 
 def test_train_checkpoint_bytes_deterministic(data_dir, tmp_path):

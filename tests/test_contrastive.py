@@ -8,6 +8,7 @@ independent of the vectorized implementation.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ import pytest
 from c2fseg.augment import AugmentConfig
 from c2fseg.autodiff import Tape, Tensor
 from c2fseg.contrastive import (
-    ContrastClip,
     ContrastConfig,
     ContrastTrainConfig,
     LinearEvalConfig,
@@ -450,12 +450,7 @@ def test_pretrain_updates_backbone_only():
 
 
 def test_contrast_training_with_labels_runs_and_is_deterministic():
-    rng = np.random.default_rng(21)
-    clips = [
-        ContrastClip(vid=c.vid, features=c.features, labels=c.labels,
-                     activity=c.activity)
-        for c in tiny_clips(rng)
-    ]
+    clips = tiny_clips(np.random.default_rng(21))
     l1 = run_contrast_training(
         tiny_model(seed=2), clips, CONTRAST_SMOKE, AUG_OFF,
         ContrastTrainConfig(lr=1e-3, epochs=2, batch_size=4), seed=5,
@@ -465,6 +460,16 @@ def test_contrast_training_with_labels_runs_and_is_deterministic():
         ContrastTrainConfig(lr=1e-3, epochs=2, batch_size=4), seed=5,
     )
     assert l1 == l2
+
+
+def test_contrast_training_refuses_labelled_and_label_free_clips_together():
+    clips = tiny_clips(np.random.default_rng(21))
+    clips[1] = replace(clips[1], labels=None)
+    with pytest.raises(ValueError, match="1 of 4 clips have no labels"):
+        run_contrast_training(
+            tiny_model(seed=2), clips, CONTRAST_SMOKE, AUG_OFF,
+            ContrastTrainConfig(lr=1e-3, epochs=1, batch_size=4), seed=5,
+        )
 
 
 def test_contrast_training_empty_raises():

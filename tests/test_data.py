@@ -203,10 +203,23 @@ def test_dataset_length_mismatch(tmp_path):
         Dataset.load(tmp_path)
 
 
+def test_dataset_refuses_a_clip_without_frames(tmp_path):
+    write_tiny_dataset(tmp_path, lengths=(12, 0))
+    with pytest.raises(DataFormatError, match="^v1: clip has no frames$"):
+        Dataset.load(tmp_path)
+
+
+def test_dataset_refuses_a_clip_of_another_feature_width(tmp_path):
+    write_tiny_dataset(tmp_path)
+    save_features(tmp_path / "features/v1.feat", np.zeros((10, 5)))
+    with pytest.raises(DataFormatError,
+                       match="^v1: 5 features per frame, but v0 has 3$"):
+        Dataset.load(tmp_path)
+
+
 def test_audited_dataset_counts_label_reads(tmp_path):
     write_tiny_dataset(tmp_path)
     audited = AuditedDataset(Dataset.load(tmp_path))
-    assert audited.ids("train") == ["v0"]
     audited.features("v0")
     assert audited.reads_for(["v0", "v1"]) == 0
     audited.labels("v0")
@@ -214,7 +227,7 @@ def test_audited_dataset_counts_label_reads(tmp_path):
     audited.labels("v1")
     assert audited.label_reads == {"v0": 2, "v1": 1}
     assert audited.reads_for(["v0"]) == 2
-    assert audited.length("v1") == 10
+    assert len(audited.features("v1")) == 10
     assert audited.activity("v1") == 1
 
 

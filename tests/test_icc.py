@@ -137,7 +137,7 @@ def test_classify_step_on_an_empty_pool_raises(setting):
 def test_contrast_step_reads_labels_only_where_it_may(setting):
     ds, audited, split = setting
     model = tiny_model()
-    pseudo = {v: np.zeros(audited.length(v), dtype=int) for v in split.unlabeled}
+    pseudo = {v: np.zeros(len(audited.features(v)), dtype=int) for v in split.unlabeled}
     losses = contrast_step(model, audited, split, pseudo, SMALL_ICC, AUG_OFF,
                            SMALL_CONTRAST, seed=4, iteration=2)
     assert set(audited.label_reads) <= set(split.labeled)
