@@ -2,15 +2,15 @@
 
 Design in one paragraph: a ``Tensor`` wraps a float64 ndarray plus an
 optional gradient buffer.  While a ``Tape`` is active, every op appends a
-record ``(out, inputs, backward_fn)``; insertion order is a topological
-order by construction, so ``Tape.backward`` just walks the records in
-reverse once, pushing adjoints from each output to its inputs.  Without
-an active tape the same ops run as plain (checked) numpy functions, which
-is how evaluation-mode inference stays cheap.
+record ``(out, inputs, backward_fn, name)``; insertion order is a
+topological order, so ``Tape.backward`` walks the records in reverse
+once, pushing adjoints from each output to its inputs; only leaves get a
+``.grad``.  Without an active tape the same ops run as plain (checked)
+numpy functions, which is how evaluation-mode inference stays cheap.
 
 All op outputs and all propagated adjoints are verified finite; a NaN or
-Inf anywhere raises ``NumericsError`` at the op that produced it instead
-of silently poisoning a training run.
+Inf anywhere raises ``NumericsError`` naming the op that produced it
+instead of silently poisoning a training run.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -71,11 +68,11 @@ class Tape:
     """Ordered op records for one forward pass; reverse walk = backprop.
 
     A tape is meant to live for a single training step: enter, build the
-    loss, call ``backward``, then let it go (or ``clear`` it explicitly).
+    loss, call ``backward``, then let it go.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable, str]] = []
         self._outer: Tape | None = None   # the tape this one was entered inside
 
     def __enter__(self) -> "Tape":
@@ -91,35 +88,28 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def clear(self) -> None:
-        self._nodes.clear()
-
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(t) into ``t.grad`` for every tensor on the
-        differentiable path.  Repeated calls keep accumulating."""
+        """Accumulate d(loss)/d(t) into ``t.grad`` for each ``requires_grad``
+        leaf (not op output) on the path; repeated calls keep accumulating."""
         if loss.data.size != 1:
             raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
         _check_finite(loss.data, "loss")
-        adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        holders: dict[int, Tensor] = {id(loss): loss}
-        for out, inputs, backward_fn in reversed(self._nodes):
-            out_grad = adjoint.get(id(out))
-            if out_grad is None:
+        # id -> (tensor, adjoint); an output leaves once its record is walked
+        adjoint = {id(loss): (loss, np.ones_like(loss.data))}
+        for out, inputs, backward_fn, name in reversed(self._nodes):
+            entry = adjoint.pop(id(out), None)
+            if entry is None:
                 continue
-            grads = backward_fn(out_grad)
+            grads = backward_fn(entry[1])
             for tensor, grad in zip(inputs, grads):
                 if grad is None or not tensor.requires_grad:
                     continue
-                _check_finite(grad, "backward")
-                key = id(tensor)
-                seen = adjoint.get(key)
-                adjoint[key] = grad if seen is None else seen + grad
-                holders[key] = tensor
-        for key, tensor in holders.items():
-            if not tensor.requires_grad:
-                continue
-            g = adjoint[key]
-            tensor.grad = g.copy() if tensor.grad is None else tensor.grad + g
+                _check_finite(grad, f"backward of {name}")
+                seen = adjoint.get(id(tensor))
+                adjoint[id(tensor)] = (tensor, grad if seen is None else seen[1] + grad)
+        for tensor, g in adjoint.values():
+            if tensor.requires_grad:
+                tensor.grad = g.copy() if tensor.grad is None else tensor.grad + g
 
 
 def _apply(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn: Callable,
@@ -129,7 +119,7 @@ def _apply(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn: Callable
     needs = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
     if needs and _active is not None:
-        _active._nodes.append((out, tuple(inputs), backward_fn))
+        _active._nodes.append((out, tuple(inputs), backward_fn, name))
     return out
 
 

@@ -215,22 +215,25 @@ def _model_config_for(dataset: Dataset, s) -> ModelConfig:
     )
 
 
-def _training_data(path) -> Dataset:
-    """The dataset at ``path``; one without a training clip is a data error."""
+def _data_with(path, *splits: str) -> Dataset:
+    """The dataset at ``path``; one without a clip in a split that the
+    command reads is a data error."""
     dataset = Dataset.load(path)
-    if not dataset.train():
-        raise DataFormatError(f"{path}: no clip is in the train split")
+    for split in splits:
+        if not dataset.split(split):
+            raise DataFormatError(f"{path}: no clip is in the {split} split")
     return dataset
 
 
-def _restore_for(path, dataset: Dataset, classes: bool = True):
+def _restore_for(path, dataset: Dataset, reads: tuple = ("classes",)):
     """The model and heads at ``path``, refused unless the model reads the
-    dataset's features and, with ``classes``, predicts its classes."""
+    dataset's features and has as many of each of ``reads`` as it."""
     model, heads = restore_model(path)
-    fits = [("features per frame", model.cfg.input_dim, dataset.feat_dim)]
-    if classes:
-        fits.append(("classes", model.cfg.num_classes, dataset.num_classes))
-    for what, ours, theirs in fits:
+    fits = {"features per frame": (model.cfg.input_dim, dataset.feat_dim),
+            "classes": (model.cfg.num_classes, dataset.num_classes),
+            "activities": (model.cfg.num_activities, dataset.num_activities)}
+    for what in ("features per frame", *reads):
+        ours, theirs = fits[what]
         if ours != theirs:
             raise DataFormatError(f"{path}: the checkpoint has {ours} {what}, "
                                   f"the dataset {theirs}")
@@ -268,7 +271,7 @@ def cmd_gen_synth(args, s) -> int:
 
 def cmd_train(args, s) -> int:
     _check_outputs(args.out, args.trace_out)
-    dataset = _training_data(args.data)
+    dataset = _data_with(args.data, "train")
     with _usage_errors():
         model_cfg = _model_config_for(dataset, s)
         augment_cfg = _augment_config_for(s)
@@ -289,7 +292,7 @@ def cmd_train(args, s) -> int:
 
 def cmd_pretrain(args, s) -> int:
     _check_outputs(args.out)
-    dataset = _training_data(args.data)
+    dataset = _data_with(args.data, "train")
     with _usage_errors():
         model_cfg = _model_config_for(dataset, s)
         augment_cfg = _augment_config_for(s)
@@ -306,7 +309,7 @@ def cmd_pretrain(args, s) -> int:
 
 
 def cmd_icc(args, s) -> int:
-    dataset = _training_data(args.data)
+    dataset = _data_with(args.data, "train")
     with _usage_errors():
         model_cfg = _model_config_for(dataset, s)
         augment_cfg = _augment_config_for(s)
@@ -358,9 +361,9 @@ def cmd_linear_eval(args, s) -> int:
     _check_outputs(args.report)
     with _usage_errors():
         cfg = LinearEvalConfig(lr=s.lr, epochs=s.epochs)
-    dataset = Dataset.load(args.data)
+    dataset = _data_with(args.data, "train", "test")
     raw = bool(args.raw_baseline)
-    model = None if raw else _restore_for(args.ckpt, dataset, classes=False)[0]
+    model = None if raw else _restore_for(args.ckpt, dataset, reads=())[0]
     report = linear_eval(model, dataset.train(), dataset.test(),
                          dataset.num_classes, raw=raw, cfg=cfg)
     _write_json(args.report, report.to_dict())
@@ -375,7 +378,7 @@ def cmd_calibrate(args, s) -> int:
         raise UsageError(f"bins must be >= 1, got {args.bins}")
     with _usage_errors():
         augment_cfg = _augment_config_for(s)
-    dataset = Dataset.load(args.data)
+    dataset = _data_with(args.data, "test")
     model, _ = _restore_for(args.ckpt, dataset)
     report, entropies = calibration_for(model, dataset.test(), augment_cfg,
                                         num_bins=args.bins)
@@ -396,7 +399,7 @@ def cmd_activity_train(args, s) -> int:
     _check_outputs(args.out)
     with _usage_errors():
         check_schedule(s.lr, s.epochs, s.batch_size)
-    dataset = _training_data(args.data)
+    dataset = _data_with(args.data, "train")
     if dataset.num_activities < 2:
         raise UsageError("activity recognition needs at least two activities")
     with _usage_errors():
@@ -422,10 +425,10 @@ def cmd_activity_train(args, s) -> int:
 
 def cmd_activity_eval(args, s) -> int:
     _check_outputs(args.report)
-    dataset = Dataset.load(args.data)
+    dataset = _data_with(args.data, "test")
     if dataset.num_activities < 2:
         raise UsageError("activity recognition needs at least two activities")
-    model, _ = _restore_for(args.ckpt, dataset, classes=False)
+    model, _ = _restore_for(args.ckpt, dataset, reads=("activities",))
     clips = dataset.test()
     accuracy = _activity_accuracy(model, clips)
     if args.report:

@@ -26,6 +26,8 @@ from .optim import Adam
 from .seeding import substream
 from .supervised import PROB_FLOOR, check_schedule, cross_entropy, fit, pooled_clip
 
+KMEANS_ITERS = 100   # Lloyd iterations kmeans runs at most
+
 
 @dataclass(frozen=True)
 class ContrastConfig:
@@ -57,11 +59,10 @@ class ContrastConfig:
 # Per-batch clustering
 # ---------------------------------------------------------------------------
 
-def kmeans(x: np.ndarray, k: int, rng: np.random.Generator,
-           max_iters: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Plain Lloyd iteration with k-means++ seeding.
 
-    Runs to an assignment fixpoint or ``max_iters``; an emptied cluster is
+    Runs to an assignment fixpoint or ``KMEANS_ITERS``; an emptied cluster is
     re-seeded with the point currently farthest from its own centroid.
     Returns (assignments [N], centers [k, D]).
     """
@@ -88,7 +89,7 @@ def kmeans(x: np.ndarray, k: int, rng: np.random.Generator,
         best = np.minimum(best, dist2_to(centers[i:i + 1])[:, 0])
 
     assign = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_ITERS):
         d2 = dist2_to(centers)
         new_assign = d2.argmin(axis=1)
         own = d2[np.arange(n), new_assign]

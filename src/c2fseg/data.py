@@ -31,6 +31,7 @@ from .seeding import substream
 FEATURE_MAGIC = b"C2FT"
 CHECKPOINT_MAGIC = b"C2FC"
 FORMAT_VERSION = 1
+SPLIT_DRAWS = 50   # labeled-pool draws make_split tries for full class coverage
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +401,13 @@ def gen_synthetic(cfg: SyntheticConfig, out_dir) -> Manifest:
 class SplitSpec:
     labeled: tuple
     unlabeled: tuple
-    seed: int
 
 
-def make_split(dataset: Dataset, labeled_fraction: float, seed: int,
-               max_retries: int = 50) -> SplitSpec:
+def make_split(dataset: Dataset, labeled_fraction: float, seed: int) -> SplitSpec:
     """Choose which training clips keep their labels.
 
     The labeled pool has max(3, floor(fraction * n)) clips (capped at n)
-    and is redrawn up to ``max_retries`` times until every action class
+    and is redrawn up to ``SPLIT_DRAWS`` times until every action class
     appears in it; if full coverage is impossible the best draw is kept
     with a warning.
     """
@@ -425,7 +424,7 @@ def make_split(dataset: Dataset, labeled_fraction: float, seed: int,
         all_classes.update(np.unique(s.labels).tolist())
     best: tuple | None = None
     best_cover = -1
-    for attempt in range(max_retries):
+    for attempt in range(SPLIT_DRAWS):
         rng = substream(seed, f"split-{attempt}")
         chosen = tuple(sorted(rng.choice(ids, size=k, replace=False).tolist()))
         covered = set()
@@ -440,7 +439,7 @@ def make_split(dataset: Dataset, labeled_fraction: float, seed: int,
         warnings.warn("labeled split does not cover every action class")
     labeled = set(best)
     unlabeled = tuple(v for v in ids if v not in labeled)
-    return SplitSpec(labeled=tuple(sorted(labeled)), unlabeled=unlabeled, seed=seed)
+    return SplitSpec(labeled=tuple(sorted(labeled)), unlabeled=unlabeled)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 PROFILES: dict[str, dict] = {
     "synthetic": {
-        "input_dim": 32,
-        "num_classes": 6,
-        "num_activities": 3,
         "encoder_channels": (64, 64, 64, 32, 32, 32, 32),
         "decoder_channels": (32, 32, 32, 32, 32, 32),
         "activity_hidden": 32,

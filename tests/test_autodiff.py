@@ -186,6 +186,41 @@ def test_backward_accumulates_across_calls():
     assert np.allclose(x.grad, [4.0, 8.0])
 
 
+def test_backward_writes_grad_on_leaves_only():
+    with Tape() as tape:
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        w = Tensor([0.5, 0.5, -1.0], requires_grad=True)
+        h = ad.mul(x, w)
+        r = ad.relu(h)
+        sq = ad.mul(r, r)
+        total = ad.add(sq, x)
+        loss = ad.reduce_sum(total)
+        tape.backward(loss)
+    assert len(tape) == 5
+    # d/dx = 2 r w [h > 0] + 1 and d/dw = 2 r x [h > 0], with r = relu(x w)
+    assert np.array_equal(x.grad, [1.5, 1.0, 1.0])
+    assert np.array_equal(w.grad, [1.0, 0.0, 0.0])
+    assert all(t.grad is None for t in (h, r, sq, total, loss))
+
+
+def test_backward_gives_a_leaf_loss_without_requires_grad_no_grad():
+    with Tape() as tape:
+        loss = Tensor(3.0)
+        tape.backward(loss)
+    assert loss.grad is None
+
+
+def test_nonfinite_gradient_names_its_op():
+    with Tape() as tape:
+        x = Tensor([0.0, 4.0], requires_grad=True)
+        loss = ad.reduce_sum(ad.sqrt(x))
+        with np.errstate(divide="ignore"):
+            with pytest.raises(NumericsError) as err:
+                tape.backward(loss)
+    assert str(err.value) == "non-finite values produced by backward of sqrt"
+    assert x.grad is None
+
+
 def test_backward_rejects_non_scalar():
     with Tape() as tape:
         x = Tensor([1.0, 2.0], requires_grad=True)

@@ -471,11 +471,44 @@ def test_empty_training_split_exits_3_before_any_model(no_train_dir, tmp_path, c
 
 
 @pytest.fixture(scope="module")
+def no_test_dir(tmp_path_factory, data_dir):
+    root = tmp_path_factory.mktemp("train-only-data")
+    shutil.copytree(data_dir, root, dirs_exist_ok=True)
+    manifest = json.loads((root / "manifest.json").read_text())
+    (root / "manifest.json").write_text(json.dumps([dict(e, split="train")
+                                                    for e in manifest]))
+    return root
+
+
+_MISSING_SPLITS = [
+    ("calibrate", [], "test"),
+    ("activity-eval", [], "test"),
+    ("linear-eval", [], "test"),
+    ("linear-eval", ["--raw-baseline"], "test"),
+    ("linear-eval", [], "train"),
+    ("linear-eval", ["--raw-baseline"], "train"),
+]
+
+
+@pytest.mark.parametrize("command,flags,split", _MISSING_SPLITS,
+                         ids=[" ".join([c, *f, "no", s]) for c, f, s in _MISSING_SPLITS])
+def test_scoring_split_without_clips_exits_3_before_the_checkpoint(
+        no_train_dir, no_test_dir, tmp_path, capsys, stop_after_check, command, flags,
+        split):
+    data = no_test_dir if split == "test" else no_train_dir
+    assert main(_argv(command, data, tmp_path) + flags) == 3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error[3] {data}: no clip is in the {split} split"]
+
+
+@pytest.fixture(scope="module")
 def other_data(tmp_path_factory):
-    """Two corpora the ``ckpt`` model does not fit: 16 features per frame
-    where it reads 32, and 8 classes where it predicts 6."""
+    """Three corpora the ``ckpt`` model does not fit: 16 features per frame
+    where it reads 32, 8 classes where it predicts 6, and 5 activities
+    where it has 3."""
     dirs = {}
-    for name, flags in (("width", ["--feat-dim", "16"]), ("classes", ["--actions", "8"])):
+    for name, flags in (("width", ["--feat-dim", "16"]), ("classes", ["--actions", "8"]),
+                        ("activities", ["--activities", "5"])):
         dirs[name] = tmp_path_factory.mktemp(f"other-{name}")
         assert main(["gen-synth", "--out", str(dirs[name]), "--videos", "6",
                      "--len-min", "64", "--len-max", "96", "--segments-min", "2",
@@ -490,6 +523,7 @@ _MISFITS = [
     ("activity-eval", "width", "32 features per frame, the dataset 16"),
     ("eval", "classes", "6 classes, the dataset 8"),
     ("calibrate", "classes", "6 classes, the dataset 8"),
+    ("activity-eval", "activities", "3 activities, the dataset 5"),
 ]
 
 

@@ -29,7 +29,7 @@ from c2fseg.contrastive import (
     run_contrast_training,
     sample_frames,
 )
-from c2fseg.data import VideoSample
+from c2fseg.data import SyntheticConfig, VideoSample
 from c2fseg.errors import NumericsError
 from c2fseg.model import ModelConfig, build_model
 from c2fseg.profiles import PROFILES
@@ -138,9 +138,8 @@ def test_kmeans_deterministic_per_stream():
 
 
 def test_default_cluster_count_is_twice_num_classes():
-    # reference profile ties k to 2C
-    p = PROFILES["synthetic"]
-    assert p["num_clusters"] == 2 * p["num_classes"]
+    # reference profile ties k to 2C of the default synthetic corpus
+    assert PROFILES["synthetic"]["num_clusters"] == 2 * SyntheticConfig().num_actions
 
 
 # ---------------------------------------------------------------------------
